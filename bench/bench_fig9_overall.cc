@@ -48,10 +48,10 @@ main(int argc, char **argv)
                                    cli::CommonFlags::kPlanCache);
     flags.addBool("--simulate", &simulate,
                   "cycle-level simulation instead of the cost model");
-    flags.addString("--rot-schemes", &rot_schemes,
+    flags.addString("--rot-schemes", "LIST", &rot_schemes,
                     "rotation schemes to search "
                     "(minks|hoisting|hybrid|triple|all, comma-separated)");
-    flags.addString("--ks-dataflows", &ks_dataflows,
+    flags.addString("--ks-dataflows", "LIST", &ks_dataflows,
                     "key-switch dataflows to search "
                     "(fused|ostat|reordup|all, comma-separated)");
     if (!flags.parse(argc, argv))

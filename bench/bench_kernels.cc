@@ -638,7 +638,7 @@ run(int argc, char **argv)
                                     cli::CommonFlags::kKernel |
                                     cli::CommonFlags::kStatsOut);
     std::string json_path;
-    parser.addString("--json", &json_path,
+    parser.addString("--json", "FILE", &json_path,
                      "write BENCH_kernels.json-style results here");
     parser.addBool("--smoke", &g_smoke, "fast mode for CI (few iterations)");
     parser.addBool("--digest", &g_digest,

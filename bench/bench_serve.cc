@@ -267,7 +267,8 @@ main(int argc, char **argv)
     common.registerInto(flags, cli::CommonFlags::kThreads |
                                    cli::CommonFlags::kSeed);
     flags.addBool("--smoke", &smoke, "short traces for CI");
-    flags.addString("--json", &json, "write BENCH_serve.json-style output");
+    flags.addString("--json", "FILE", &json,
+                    "write BENCH_serve.json-style output");
     if (!flags.parse(argc, argv))
         return 1;
     const u32 seed = common.seed;

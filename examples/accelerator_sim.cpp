@@ -66,7 +66,7 @@ run(int argc, char **argv)
                                    cli::CommonFlags::kStatsOut |
                                    cli::CommonFlags::kTraceOut |
                                    cli::CommonFlags::kPlanCache);
-    flags.addString("--fault-plan", &fault_spec,
+    flags.addString("--fault-plan", "SPEC", &fault_spec,
                     "fault-injection spec, e.g. seed=7,dram-err=1e-3 "
                     "(default $CROPHE_FAULT_PLAN)");
     flags.addDouble("--deadline", &deadline,
@@ -79,10 +79,10 @@ run(int argc, char **argv)
                     "pod ring-link bandwidth per direction (GB/s)");
     flags.addDouble("--link-latency", &link_latency,
                     "pod ring-link latency per hop (chip cycles)");
-    flags.addString("--rot-schemes", &rot_schemes,
+    flags.addString("--rot-schemes", "LIST", &rot_schemes,
                     "rotation schemes the end-to-end search may pick "
                     "(minks|hoisting|hybrid|triple|all, comma-separated)");
-    flags.addString("--ks-dataflows", &ks_dataflows,
+    flags.addString("--ks-dataflows", "LIST", &ks_dataflows,
                     "key-switch dataflows the search may pick "
                     "(fused|ostat|reordup|all, comma-separated)");
     if (!flags.parse(argc, argv))

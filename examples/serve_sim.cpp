@@ -180,12 +180,12 @@ run(int argc, char **argv)
                     "aggregate Poisson arrival rate (req/s, split evenly "
                     "across tenants)");
     flags.addUint("--tenants", &tenants, "number of tenants");
-    flags.addString("--mix", &mix_name,
+    flags.addString("--mix", "NAME", &mix_name,
                     "workload mix: bootstrap, matvec, blend, or micro");
     flags.addDouble("--sla-ms", &sla_ms, "per-request SLA in milliseconds");
-    flags.addString("--design", &design_name,
+    flags.addString("--design", "NAME", &design_name,
                     "accelerator design (Table I name)");
-    flags.addString("--policy", &policy_name,
+    flags.addString("--policy", "NAME", &policy_name,
                     "queue ordering: fifo, edf, or wfq");
     flags.addUint("--max-batch", &max_batch,
                   "max same-template requests per dispatch");
@@ -210,7 +210,7 @@ run(int argc, char **argv)
                     "pod ring-link bandwidth per direction (GB/s)");
     flags.addDouble("--link-latency", &link_latency,
                     "pod ring-link latency per hop (chip cycles)");
-    flags.addString("--fault-plan", &fault_spec,
+    flags.addString("--fault-plan", "SPEC", &fault_spec,
                     "fault spec (default $CROPHE_FAULT_PLAN); timed "
                     "chip-fail@T=K, link-degrade@T=F and batch-fail "
                     "events drive online recovery (DESIGN.md 14)");

@@ -13,11 +13,12 @@ namespace crophe::cli {
 FlagParser::FlagParser(std::string summary) : summary_(std::move(summary)) {}
 
 void
-FlagParser::addString(const std::string &name, std::string *out,
-                      const std::string &help)
+FlagParser::addString(const std::string &name, const std::string &value_name,
+                      std::string *out, const std::string &help)
 {
     CROPHE_ASSERT(out != nullptr, "flag destination required");
-    flags_.push_back({name, Kind::String, out, help});
+    CROPHE_ASSERT(!value_name.empty(), "string flag needs a value name");
+    flags_.push_back({name, Kind::String, out, help, value_name});
 }
 
 void
@@ -25,7 +26,7 @@ FlagParser::addUint(const std::string &name, u32 *out,
                     const std::string &help)
 {
     CROPHE_ASSERT(out != nullptr, "flag destination required");
-    flags_.push_back({name, Kind::Uint, out, help});
+    flags_.push_back({name, Kind::Uint, out, help, "N"});
 }
 
 void
@@ -33,7 +34,7 @@ FlagParser::addDouble(const std::string &name, double *out,
                       const std::string &help)
 {
     CROPHE_ASSERT(out != nullptr, "flag destination required");
-    flags_.push_back({name, Kind::Double, out, help});
+    flags_.push_back({name, Kind::Double, out, help, "X"});
 }
 
 void
@@ -41,7 +42,7 @@ FlagParser::addBool(const std::string &name, bool *out,
                     const std::string &help)
 {
     CROPHE_ASSERT(out != nullptr, "flag destination required");
-    flags_.push_back({name, Kind::Bool, out, help});
+    flags_.push_back({name, Kind::Bool, out, help, ""});
 }
 
 void
@@ -66,6 +67,11 @@ FlagParser::parse(int argc, char **argv)
     threads_ = 0;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
+        if (arg == "--help" || arg == "-h") {
+            printUsage(argv[0], std::cout);
+            std::cout.flush();
+            std::exit(0);
+        }
         // `--flag=value` splits at the first '='; `--flag value` is the
         // space-separated equivalent.
         bool inlineValue = false;
@@ -121,31 +127,18 @@ FlagParser::parse(int argc, char **argv)
 void
 FlagParser::printUsage(const char *argv0, std::ostream &os) const
 {
+    auto head = [](const Flag &f) {
+        return f.valueName.empty() ? f.name : f.name + " " + f.valueName;
+    };
     os << "usage: " << argv0;
-    for (const auto &f : flags_) {
-        os << " [" << f.name;
-        if (f.kind == Kind::String)
-            os << " FILE";
-        else if (f.kind == Kind::Uint)
-            os << " N";
-        else if (f.kind == Kind::Double)
-            os << " X";
-        os << "]";
-    }
+    for (const auto &f : flags_)
+        os << " [" << head(f) << "]";
     os << "\n";
     if (!summary_.empty())
         os << "  " << summary_ << "\n";
     for (const auto &f : flags_) {
-        os << "  ";
-        std::string head = f.name;
-        if (f.kind == Kind::String)
-            head += " FILE";
-        else if (f.kind == Kind::Uint)
-            head += " N";
-        else if (f.kind == Kind::Double)
-            head += " X";
-        os << head;
-        for (std::size_t pad = head.size(); pad < 22; ++pad)
+        os << "  " << head(f);
+        for (std::size_t pad = head(f).size(); pad < 22; ++pad)
             os << ' ';
         os << f.help << "\n";
     }

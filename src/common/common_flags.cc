@@ -11,19 +11,19 @@ CommonFlags::registerInto(FlagParser &parser, u32 want)
     if (want & kThreads)
         parser.addThreadsFlag();
     if (want & kStatsOut)
-        parser.addString("--stats-out", &statsOut,
+        parser.addString("--stats-out", "FILE", &statsOut,
                          "dump the telemetry registry as JSON to FILE");
     if (want & kTraceOut)
-        parser.addString("--trace-out", &traceOut,
+        parser.addString("--trace-out", "FILE", &traceOut,
                          "write the event trace as JSON to FILE");
     if (want & kPlanCache) {
         planCacheDir = plan::PlanCache::dirFromEnv();
-        parser.addString("--plan-cache", &planCacheDir,
+        parser.addString("--plan-cache", "DIR", &planCacheDir,
                          "schedule-cache directory "
                          "(default $CROPHE_PLAN_CACHE)");
     }
     if (want & kKernel)
-        parser.addString("--kernel", &kernelName,
+        parser.addString("--kernel", "NAME", &kernelName,
                          "kernel backend: scalar|avx2|avx512|auto "
                          "(default $CROPHE_KERNEL or widest available)");
     if (want & kSeed)

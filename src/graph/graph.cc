@@ -166,19 +166,31 @@ Graph::partition(u32 max_size) const
 u64
 Graph::structuralHash(const std::vector<OpId> &nodes) const
 {
-    // Order-sensitive FNV-style hash over op shapes and the edge structure
-    // relabelled to positions within @p nodes.
-    std::map<OpId, u32> index;
-    for (u32 i = 0; i < nodes.size(); ++i)
-        index[nodes[i]] = i;
+    // A repeated node takes its last index.
+    std::vector<u32> pos(size(), ~0u);
+    std::vector<u64> aux_hashes(size(), 0);
+    for (u32 i = 0; i < nodes.size(); ++i) {
+        pos[nodes[i]] = i;
+        aux_hashes[nodes[i]] = std::hash<std::string>{}(ops_[nodes[i]].auxKey);
+    }
+    return windowHash(nodes.data(), static_cast<u32>(nodes.size()), pos, 0,
+                      aux_hashes);
+}
 
+u64
+Graph::windowHash(const OpId *nodes, u32 count, const std::vector<u32> &pos,
+                  u32 first, const std::vector<u64> &aux_hashes) const
+{
+    // Order-sensitive FNV-style hash over op shapes and the edge structure
+    // relabelled to positions within the window.
     u64 h = 1469598103934665603ull;
     auto mix = [&h](u64 v) {
         h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
         h *= 1099511628211ull;
     };
 
-    for (OpId id : nodes) {
+    for (u32 i = 0; i < count; ++i) {
+        const OpId id = nodes[i];
         const Op &op = ops_[id];
         mix(static_cast<u64>(op.kind));
         mix(op.n);
@@ -189,13 +201,23 @@ Graph::structuralHash(const std::vector<OpId> &nodes) const
         mix(op.auxWords);
         // Aux identity matters: subgraphs touching different evks are not
         // interchangeable for sharing/caching decisions.
-        mix(std::hash<std::string>{}(op.auxKey));
+        mix(aux_hashes[id]);
         for (OpId c : succ_[id]) {
-            auto it = index.find(c);
-            mix(it == index.end() ? ~0ull : it->second);
+            const u32 index = pos[c] - first;
+            mix(index < count ? index : ~0ull);
         }
     }
     return h;
+}
+
+std::vector<u64>
+Graph::auxKeyHashes() const
+{
+    std::vector<u64> hashes;
+    hashes.reserve(ops_.size());
+    for (const auto &op : ops_)
+        hashes.push_back(std::hash<std::string>{}(op.auxKey));
+    return hashes;
 }
 
 Graph

@@ -86,6 +86,19 @@ class Graph
     u64 structuralHash(const std::vector<OpId> &nodes) const;
 
     /**
+     * structuralHash of the window nodes[0, count) without building an
+     * index, for callers that hash many windows of one order: an op id
+     * lies in the window iff pos[id] - first < count (unsigned), and then
+     * that difference is its index in the window. @p aux_hashes is
+     * auxKeyHashes(). Equals structuralHash of the same node list.
+     */
+    u64 windowHash(const OpId *nodes, u32 count, const std::vector<u32> &pos,
+                   u32 first, const std::vector<u64> &aux_hashes) const;
+
+    /** std::hash of every op's auxKey, indexed by op id. */
+    std::vector<u64> auxKeyHashes() const;
+
+    /**
      * Induced subgraph over @p nodes (kept in the given order) with the
      * boundary materialized: every edge from an op outside @p nodes adds
      * an Input op shaped like the external producer's output, and every

@@ -1,89 +1,91 @@
 #include "sched/enumerator.h"
 
-#include <algorithm>
-#include <map>
-
 #include "common/logging.h"
 
 namespace crophe::sched {
 
 using graph::OpId;
 
-bool
-GroupMemo::lookup(u64 key, std::optional<SpatialGroup> &out) const
+namespace {
+
+constexpr u32 kInitialSlotBits = 6;
+
+}  // namespace
+
+GroupMemo::GroupMemo()
+    : slots_(std::size_t{1} << kInitialSlotBits), shift_(64 - kInitialSlotBits)
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = map_.find(key);
-    if (it == map_.end())
-        return false;
-    out = it->second;
-    return true;
 }
 
-bool
-GroupMemo::insert(u64 key, std::optional<SpatialGroup> value)
+std::size_t
+GroupMemo::probe(u64 key) const
+{
+    // Fibonacci hashing: the top bits of key * 2^64/phi pick the home slot.
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = (key * 0x9e3779b97f4a7c15ull) >> shift_;
+    while (slots_[i].entry != nullptr && slots_[i].key != key)
+        i = (i + 1) & mask;
+    return i;
+}
+
+void
+GroupMemo::grow()
+{
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    --shift_;
+    for (const Slot &s : old)
+        if (s.entry != nullptr)
+            slots_[probe(s.key)] = s;
+}
+
+const GroupMemo::Entry *
+GroupMemo::lookup(u64 key) const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return map_.emplace(key, std::move(value)).second;
+    return slots_[probe(key)].entry;
+}
+
+std::pair<const GroupMemo::Entry *, bool>
+GroupMemo::insert(u64 key, Entry value)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    std::size_t i = probe(key);
+    if (slots_[i].entry != nullptr)
+        return {slots_[i].entry, false};
+    entries_.push_back(std::move(value));
+    slots_[i] = {key, &entries_.back()};
+    if (2 * entries_.size() > slots_.size())
+        grow();
+    return {&entries_.back(), true};
 }
 
 u64
 GroupMemo::size() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return map_.size();
+    return entries_.size();
 }
 
 GroupEnumerator::GroupEnumerator(const graph::Graph &g,
                                  const hw::HwConfig &cfg, bool mad,
                                  u32 max_ops, GroupMemo *shared)
     : g_(&g), cfg_(&cfg), mad_(mad), maxOps_(max_ops),
-      topo_(g.topoOrderAuxAffinity()), memo_(shared ? shared : &ownMemo_)
+      topo_(g.topoOrderAuxAffinity()), pos_(g.size()),
+      auxHashes_(g.auxKeyHashes()), memo_(shared ? shared : &ownMemo_),
+      byWindow_(topo_.size() * (static_cast<std::size_t>(max_ops) + 1))
 {
     CROPHE_ASSERT(maxOps_ >= 1, "maxOps must be positive");
+    for (u32 i = 0; i < topo_.size(); ++i)
+        pos_[topo_[i]] = i;
     u64 h = hw::configDigest(cfg);
     h ^= (mad ? 0x9e3779b97f4a7c15ull : 0) + (h << 6) + (h >> 2);
     h *= 1099511628211ull;
     cfgKey_ = h;
 }
 
-namespace {
-
-/** Convert an analyzed group to a position-indexed canonical form. */
-SpatialGroup
-canonicalize(const SpatialGroup &group, const std::vector<OpId> &window)
-{
-    std::map<OpId, OpId> pos;
-    for (u32 i = 0; i < window.size(); ++i)
-        pos[window[i]] = i;
-    SpatialGroup out = group;
-    for (auto &a : out.allocs)
-        a.op = pos.at(a.op);
-    for (auto &e : out.internalEdges) {
-        e.from = pos.at(e.from);
-        e.to = pos.at(e.to);
-    }
-    return out;
-}
-
-/** Re-bind a canonical group to concrete window op ids. */
-SpatialGroup
-materialize(const SpatialGroup &canonical, const std::vector<OpId> &window)
-{
-    SpatialGroup out = canonical;
-    for (auto &a : out.allocs)
-        a.op = window[a.op];
-    for (auto &e : out.internalEdges) {
-        e.from = window[e.from];
-        e.to = window[e.to];
-    }
-    return out;
-}
-
-}  // namespace
-
 u64
-GroupEnumerator::windowKey(const std::vector<OpId> &ops) const
+GroupEnumerator::windowKey(u32 begin, u32 len) const
 {
     // Structural hash extended with everything analyzeSpatialGroup reads
     // from OUTSIDE the window: each op's external producers contribute
@@ -93,20 +95,16 @@ GroupEnumerator::windowKey(const std::vector<OpId> &ops) const
     // with equal internal structure but different upstream volumes would
     // collide — and a shared memo would then return whichever analysis was
     // inserted first, making results depend on thread timing.
-    u64 h = g_->structuralHash(ops);
+    const OpId *ops = topo_.data() + begin;
+    u64 h = g_->windowHash(ops, len, pos_, begin, auxHashes_);
     auto mix = [&h](u64 v) {
         h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
         h *= 1099511628211ull;
     };
-    std::vector<OpId> sorted(ops.begin(), ops.end());
-    std::sort(sorted.begin(), sorted.end());
-    auto inside = [&sorted](OpId id) {
-        return std::binary_search(sorted.begin(), sorted.end(), id);
-    };
-    for (OpId id : ops) {
-        for (OpId p : g_->producers(id)) {
-            if (inside(p))
-                continue;
+    for (u32 i = 0; i < len; ++i) {
+        for (OpId p : g_->producers(ops[i])) {
+            if (pos_[p] - begin < len)
+                continue;  // inside the window
             const graph::Op &prod = g_->op(p);
             mix(prod.outputWords);
             mix(prod.kind == graph::OpKind::Input ? 1 : 0);
@@ -122,42 +120,60 @@ GroupEnumerator::window(u32 begin, u32 len)
     if (len == 0 || len > maxOps_ || begin + len > topo_.size())
         return nullptr;
 
-    u64 wkey = static_cast<u64>(begin) * (maxOps_ + 1) + len;
-    auto wit = byWindow_.find(wkey);
-    if (wit != byWindow_.end())
-        return wit->second ? &*wit->second : nullptr;
-
-    std::vector<OpId> ops(topo_.begin() + begin, topo_.begin() + begin + len);
-    u64 h = windowKey(ops);
-
-    std::optional<SpatialGroup> canonical;
-    std::optional<SpatialGroup> result;
-    if (memo_->lookup(h, canonical)) {
-        ++hits_;
-        if (canonical)
-            result = materialize(*canonical, ops);
-    } else {
-        SpatialGroup group;
-        bool feasible = analyzeSpatialGroup(*g_, ops, *cfg_, mad_, group);
-        bool inserted = memo_->insert(
-            h, feasible ? std::optional<SpatialGroup>(
-                              canonicalize(group, ops))
-                        : std::nullopt);
-        // Losing the insert race counts as a hit: the winner's entry is
-        // identical (the memo value is a pure function of the key), so
-        // analyzed totals stay equal to the number of unique keys no
-        // matter how threads interleave.
-        if (inserted)
-            ++analyzed_;
-        else
+    const GroupMemo::Entry *&slot =
+        byWindow_[static_cast<std::size_t>(begin) * (maxOps_ + 1) + len];
+    if (slot == nullptr) {
+        u64 h = windowKey(begin, len);
+        slot = memo_->lookup(h);
+        if (slot != nullptr) {
             ++hits_;
-        if (feasible)
-            result = std::move(group);
+        } else {
+            std::vector<OpId> ops(topo_.begin() + begin,
+                                  topo_.begin() + begin + len);
+            GroupMemo::Entry entry;
+            SpatialGroup group;
+            if (analyzeSpatialGroup(*g_, ops, *cfg_, mad_, group)) {
+                // Canonical form: op ids become window positions. The
+                // entry lives as long as the memo, so drop spare capacity.
+                for (auto &a : group.allocs)
+                    a.op = pos_[a.op] - begin;
+                for (auto &e : group.internalEdges) {
+                    e.from = pos_[e.from] - begin;
+                    e.to = pos_[e.to] - begin;
+                }
+                group.allocs.shrink_to_fit();
+                group.internalEdges.shrink_to_fit();
+                group.auxNeeds.shrink_to_fit();
+                entry = std::move(group);
+            }
+            auto [stored, inserted] = memo_->insert(h, std::move(entry));
+            slot = stored;
+            // Losing the insert race counts as a hit: the winner's entry is
+            // identical (the memo value is a pure function of the key), so
+            // analyzed totals stay equal to the number of unique keys no
+            // matter how threads interleave.
+            if (inserted)
+                ++analyzed_;
+            else
+                ++hits_;
+        }
     }
+    return slot->has_value() ? &**slot : nullptr;
+}
 
-    auto [it, ok] = byWindow_.emplace(wkey, std::move(result));
-    (void)ok;
-    return it->second ? &*it->second : nullptr;
+SpatialGroup
+GroupEnumerator::materialize(u32 begin, u32 len)
+{
+    const SpatialGroup *canonical = window(begin, len);
+    CROPHE_ASSERT(canonical != nullptr, "materializing an infeasible window");
+    SpatialGroup out = *canonical;
+    for (auto &a : out.allocs)
+        a.op = topo_[begin + a.op];
+    for (auto &e : out.internalEdges) {
+        e.from = topo_[begin + e.from];
+        e.to = topo_[begin + e.to];
+    }
+    return out;
 }
 
 }  // namespace crophe::sched

@@ -247,11 +247,8 @@ materializeCover(GroupEnumerator &enumerator, const GreedyCover &cover)
 {
     std::vector<SpatialGroup> groups;
     groups.reserve(cover.windows.size());
-    for (auto [begin, len] : cover.windows) {
-        const SpatialGroup *g = enumerator.window(begin, len);
-        CROPHE_ASSERT(g != nullptr, "greedy window vanished");
-        groups.push_back(*g);
-    }
+    for (auto [begin, len] : cover.windows)
+        groups.push_back(enumerator.materialize(begin, len));
     return groups;
 }
 
@@ -367,9 +364,7 @@ coverByDp(GroupEnumerator &enumerator, bool prune, bool mad,
     for (std::size_t k = 0; k < cuts.size(); ++k) {
         u32 begin = cuts[k];
         u32 len = (k + 1 < cuts.size() ? cuts[k + 1] : n) - begin;
-        const SpatialGroup *g = enumerator.window(begin, len);
-        CROPHE_ASSERT(g != nullptr, "chosen window vanished");
-        groups.push_back(*g);
+        groups.push_back(enumerator.materialize(begin, len));
     }
     return groups;
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -35,7 +36,7 @@ TEST(FlagParser, ParsesEveryRegisteredShape)
     u32 count = 0;
     bool flag = false;
     FlagParser p("test harness");
-    p.addString("--out", &out_file, "output file");
+    p.addString("--out", "FILE", &out_file, "output file");
     p.addUint("--count", &count, "how many");
     p.addBool("--flag", &flag, "presence toggle");
 
@@ -50,7 +51,7 @@ TEST(FlagParser, EmptyArgvParsesAndKeepsDefaults)
 {
     std::string s = "default";
     FlagParser p;
-    p.addString("--s", &s, "a string");
+    p.addString("--s", "TEXT", &s, "a string");
     Argv a({"prog"});
     EXPECT_TRUE(p.parse(a.argc(), a.argv()));
     EXPECT_EQ(s, "default");
@@ -62,7 +63,7 @@ TEST(FlagParser, ParsesEqualsSyntaxForEveryValueKind)
     u32 count = 0;
     double x = 0.0;
     FlagParser p;
-    p.addString("--out", &out_file, "output file");
+    p.addString("--out", "FILE", &out_file, "output file");
     p.addUint("--count", &count, "how many");
     p.addDouble("--x", &x, "a real");
 
@@ -89,8 +90,8 @@ TEST(FlagParser, EqualsValueMayBeEmptyOrContainEquals)
 {
     std::string out = "default", spec;
     FlagParser p;
-    p.addString("--out", &out, "output file");
-    p.addString("--spec", &spec, "key=value spec");
+    p.addString("--out", "FILE", &out, "output file");
+    p.addString("--spec", "SPEC", &spec, "key=value spec");
     Argv a({"prog", "--out=", "--spec=seed=7,rate=1e-3"});
     EXPECT_TRUE(p.parse(a.argc(), a.argv()));
     EXPECT_EQ(out, "");
@@ -133,7 +134,7 @@ TEST(FlagParser, RejectsMissingValue)
 {
     FlagParser p;
     std::string s;
-    p.addString("--out", &s, "output file");
+    p.addString("--out", "FILE", &s, "output file");
     Argv a({"prog", "--out"});
     EXPECT_FALSE(p.parse(a.argc(), a.argv()));
 }
@@ -160,7 +161,9 @@ TEST(FlagParser, UsageListsFlagsAndSummary)
     std::string s;
     u32 n = 0;
     bool b = false;
-    p.addString("--out", &s, "output file");
+    std::string dir;
+    p.addString("--out", "FILE", &s, "output file");
+    p.addString("--cache", "DIR", &dir, "cache directory");
     p.addUint("--n", &n, "a number");
     p.addBool("--quick", &b, "skip the slow part");
     p.addThreadsFlag();
@@ -169,11 +172,41 @@ TEST(FlagParser, UsageListsFlagsAndSummary)
     p.printUsage("prog", os);
     std::string usage = os.str();
     EXPECT_NE(usage.find("the summary line"), std::string::npos);
-    EXPECT_NE(usage.find("--out FILE"), std::string::npos);
+    EXPECT_NE(usage.find("[--out FILE]"), std::string::npos);
+    // Each string flag shows its own value name, not a blanket FILE.
+    EXPECT_NE(usage.find("[--cache DIR]"), std::string::npos);
+    EXPECT_NE(usage.find("  --cache DIR"), std::string::npos);
     EXPECT_NE(usage.find("--n N"), std::string::npos);
     EXPECT_NE(usage.find("[--quick]"), std::string::npos);
     EXPECT_NE(usage.find("--threads N"), std::string::npos);
     EXPECT_NE(usage.find("skip the slow part"), std::string::npos);
+}
+
+/** Parse @p args with stdout routed to stderr (where death-test regexes
+ *  look) and stderr itself silenced, so a match proves stdout output. */
+void
+parseWithStdoutVisible(FlagParser &p, std::initializer_list<const char *> args)
+{
+    Argv a(args);
+    std::cout.rdbuf(std::cerr.rdbuf());
+    std::cerr.rdbuf(nullptr);
+    p.parse(a.argc(), a.argv());
+}
+
+TEST(FlagParserDeath, HelpPrintsUsageToStdoutAndExitsZero)
+{
+    for (const char *help : {"--help", "-h"}) {
+        SCOPED_TRACE(help);
+        FlagParser p("the summary line");
+        std::string s;
+        p.addString("--plan-cache", "DIR", &s, "cache directory");
+        EXPECT_EXIT(parseWithStdoutVisible(p, {"prog", help}),
+                    testing::ExitedWithCode(0),
+                    "usage: prog \\[--plan-cache DIR\\]");
+        EXPECT_EXIT(parseWithStdoutVisible(p, {"prog", "--plan-cache", "d",
+                                               help}),
+                    testing::ExitedWithCode(0), "the summary line");
+    }
 }
 
 TEST(DomainChecks, RequirePositiveDouble)

@@ -38,7 +38,9 @@ TEST(Enumerator, MemoizationMergesRedundantSubgraphs)
     // is asked about.
     FheParams p = graph::paramsArk();
     Graph g = graph::buildPtMatVecMult(p, 10, 8, 1, RotMode::MinKs, 0);
-    GroupEnumerator e(g, hw::configCrophe64(), false, 6);
+    // The enumerator keeps a reference to the config: it must outlive it.
+    auto cfg = hw::configCrophe64();
+    GroupEnumerator e(g, cfg, false, 6);
 
     u64 windows = 0;
     for (u32 begin = 0; begin < g.size(); ++begin)
