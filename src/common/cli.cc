@@ -1,5 +1,8 @@
 #include "common/cli.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -113,11 +116,11 @@ FlagParser::parse(int argc, char **argv)
             *static_cast<double *>(flag->out) = parsed;
             continue;
         }
-        unsigned long parsed = std::strtoul(value.c_str(), &end, 10);
-        if (end == value.c_str() || *end != '\0')
+        std::optional<u32> parsed = parseU32(value.c_str());
+        if (!parsed)
             return fail(argv[0], arg + " expects an unsigned integer, got \"" +
                                      value + "\"");
-        *static_cast<u32 *>(flag->out) = static_cast<u32>(parsed);
+        *static_cast<u32 *>(flag->out) = *parsed;
     }
     if (wantThreads_ && threads_ > 0)
         ThreadPool::setGlobalThreads(threads_);
@@ -142,6 +145,21 @@ FlagParser::printUsage(const char *argv0, std::ostream &os) const
             os << ' ';
         os << f.help << "\n";
     }
+}
+
+std::optional<u32>
+parseU32(const char *text)
+{
+    // strtoull alone skips leading whitespace and accepts a sign (it
+    // negates "-1" to 2^64-1), so require a leading digit first.
+    if (!std::isdigit(static_cast<unsigned char>(text[0])))
+        return std::nullopt;
+    errno = 0;
+    char *end = nullptr;
+    unsigned long long v = std::strtoull(text, &end, 10);
+    if (errno == ERANGE || *end != '\0' || v > UINT32_MAX)
+        return std::nullopt;
+    return static_cast<u32>(v);
 }
 
 void

@@ -14,6 +14,7 @@
  * Parsing is strict and order-independent; `--help` / `-h` is built in.
  */
 
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -33,7 +34,8 @@ class FlagParser
      *  stands for VALUE in the usage text. @{ */
     void addString(const std::string &name, const std::string &value_name,
                    std::string *out, const std::string &help);
-    /** `--name N`: base-10 unsigned. Parsing fails on non-numeric input. */
+    /** `--name N`: base-10 u32 (see parseU32). Parsing fails on anything
+     *  else, including a sign and values above UINT32_MAX. */
     void addUint(const std::string &name, u32 *out, const std::string &help);
     /** `--name X`: floating point. Parsing fails on non-numeric input. */
     void addDouble(const std::string &name, double *out,
@@ -84,6 +86,15 @@ class FlagParser
     bool wantThreads_ = false;
     u32 threads_ = 0;
 };
+
+/**
+ * Strict base-10 u32: one or more digits and nothing else — no sign, no
+ * whitespace — with a value of at most UINT32_MAX. Returns nullopt
+ * otherwise. The one parser behind FlagParser's u32 flags and the
+ * CROPHE_THREADS variable, so "-1" can never wrap to 4294967295 and
+ * "4294967297" can never truncate to 1.
+ */
+std::optional<u32> parseU32(const char *text);
 
 /**
  * Domain checks for parsed flag values (DESIGN.md §9 error contract):

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <thread>
 
+#include "common/cli.h"
 #include "common/logging.h"
 
 namespace crophe {
@@ -19,10 +20,9 @@ u32
 defaultThreadCount()
 {
     if (const char *env = std::getenv("CROPHE_THREADS")) {
-        char *end = nullptr;
-        unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && v > 0)
-            return static_cast<u32>(v);
+        std::optional<u32> v = cli::parseU32(env);
+        if (v && *v > 0)
+            return *v;
         CROPHE_WARN("ignoring invalid CROPHE_THREADS=", env);
     }
     u32 hw = std::thread::hardware_concurrency();

@@ -178,7 +178,8 @@ ptMatVecMult(const Evaluator &eval, const Ciphertext &ct,
                 parallelFor(0, digits.size(), [&](u64 k) {
                     rotated[k] = applyAutomorphism(digits[k], g);
                 });
-                auto [ip_b, ip_a] = eval.hoistedInnerProd(rotated, gk);
+                auto [ip_b, ip_a] =
+                    eval.hoistedInnerProd(std::move(rotated), gk);
                 if (!have_acc) {
                     acc_b = std::move(ip_b);
                     acc_a = std::move(ip_a);

@@ -23,8 +23,9 @@
 
 namespace crophe::graph {
 
-/** Graph-level key-switch dataflow (mirrors fhe::KeySwitchDataflow minus
- *  the unfused oracle, which only exists for differential testing). */
+/** Graph-level key-switch dataflow: an accelerator schedule choice. The
+ *  functional library computes the same result with one CPU key switch
+ *  (fhe::Evaluator::keySwitch). */
 enum class KsDataflow : u8
 {
     Fused = 0,             ///< per-digit iNTT→BConv→NTT pipeline (default)

@@ -141,11 +141,34 @@ TEST(FlagParser, RejectsMissingValue)
 
 TEST(FlagParser, RejectsMalformedNumber)
 {
+    // Signs and out-of-range values once slipped through strtoul: "-1"
+    // wrapped to 4294967295 (a --threads value that allocates workers
+    // until memory runs out) and 2^32+1 truncated to 1.
+    for (const char *bad : {"12abc", "", "-1", "+3", "-0", " 4", "4 ",
+                            "0x10", "4294967296", "4294967297",
+                            "18446744073709551615",
+                            "99999999999999999999999"}) {
+        FlagParser p;
+        u32 n = 7;
+        p.addUint("--n", &n, "a number");
+        Argv a({"prog", "--n", bad});
+        EXPECT_FALSE(p.parse(a.argc(), a.argv())) << '"' << bad << '"';
+        EXPECT_EQ(n, 7u) << '"' << bad << '"';
+    }
+}
+
+TEST(FlagParser, UintAcceptsTheWholeU32Range)
+{
     FlagParser p;
-    u32 n = 0;
-    p.addUint("--n", &n, "a number");
-    Argv a({"prog", "--n", "12abc"});
-    EXPECT_FALSE(p.parse(a.argc(), a.argv()));
+    u32 lo = 7, hi = 0, padded = 0;
+    p.addUint("--lo", &lo, "low");
+    p.addUint("--hi", &hi, "high");
+    p.addUint("--padded", &padded, "leading zeros");
+    Argv a({"prog", "--lo", "0", "--hi=4294967295", "--padded", "0042"});
+    ASSERT_TRUE(p.parse(a.argc(), a.argv()));
+    EXPECT_EQ(lo, 0u);
+    EXPECT_EQ(hi, 4294967295u);
+    EXPECT_EQ(padded, 42u);
 }
 
 TEST(FlagParser, RejectsPositionalArgument)

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.h"
@@ -137,6 +142,48 @@ TEST_F(ParallelTest, GlobalThreadOverrideWinsOverEnv)
     EXPECT_EQ(ThreadPool::global().threads(), 3u);
     ThreadPool::setGlobalThreads(0);  // back to env / hardware default
     EXPECT_GE(ThreadPool::globalThreads(), 1u);
+}
+
+/** Sets CROPHE_THREADS for one scope, then restores the previous value. */
+class ScopedThreadsEnv
+{
+  public:
+    explicit ScopedThreadsEnv(const char *value)
+    {
+        if (const char *old = std::getenv("CROPHE_THREADS"))
+            saved_ = old;
+        setenv("CROPHE_THREADS", value, 1);
+    }
+    ScopedThreadsEnv(const ScopedThreadsEnv &) = delete;
+    ScopedThreadsEnv &operator=(const ScopedThreadsEnv &) = delete;
+    ~ScopedThreadsEnv()
+    {
+        if (saved_)
+            setenv("CROPHE_THREADS", saved_->c_str(), 1);
+        else
+            unsetenv("CROPHE_THREADS");
+    }
+
+  private:
+    std::optional<std::string> saved_;
+};
+
+TEST_F(ParallelTest, EnvThreadsAcceptsOnlyAPositiveU32)
+{
+    {
+        ScopedThreadsEnv env("3");
+        ThreadPool::setGlobalThreads(0);
+        EXPECT_EQ(ThreadPool::globalThreads(), 3u);
+    }
+    // A rejected value falls back to the hardware count: "-1" must not
+    // wrap to 4294967295 workers, and 2^32+1 must not truncate to 1.
+    const u32 hw = std::max(1u, std::thread::hardware_concurrency());
+    for (const char *bad : {"-1", "+2", "0", " 3", "3x", "", "4294967296",
+                            "4294967297", "99999999999999999999999"}) {
+        ScopedThreadsEnv env(bad);
+        ThreadPool::setGlobalThreads(0);
+        EXPECT_EQ(ThreadPool::globalThreads(), hw) << '"' << bad << '"';
+    }
 }
 
 }  // namespace

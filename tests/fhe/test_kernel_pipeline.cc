@@ -34,78 +34,7 @@ namespace crophe::fhe {
 namespace {
 
 namespace fs = std::filesystem;
-using test::smallContext;
-
-std::vector<kernels::Backend>
-availableBackends()
-{
-    std::vector<kernels::Backend> out = {kernels::Backend::Scalar};
-    if (kernels::available(kernels::Backend::Avx2))
-        out.push_back(kernels::Backend::Avx2);
-    if (kernels::available(kernels::Backend::Avx512))
-        out.push_back(kernels::Backend::Avx512);
-    return out;
-}
-
-const kernels::KernelTable &
-tableFor(kernels::Backend b)
-{
-    switch (b) {
-    case kernels::Backend::Scalar:
-        return kernels::scalarTable();
-#ifdef CROPHE_HAVE_AVX2
-    case kernels::Backend::Avx2:
-        return kernels::avx2Table();
-#endif
-#ifdef CROPHE_HAVE_AVX512
-    case kernels::Backend::Avx512:
-        return kernels::avx512Table();
-#endif
-    default:
-        break;
-    }
-    return kernels::scalarTable();
-}
-
-/** Restores the process-wide backend selection on scope exit. */
-class BackendScope
-{
-  public:
-    BackendScope() : saved_(kernels::activeBackend()) {}
-    ~BackendScope() { kernels::setBackend(saved_); }
-
-  private:
-    kernels::Backend saved_;
-};
-
-RnsPoly
-randomPoly(const FheContext &ctx, const std::vector<u32> &basis, Rng &rng,
-           Rep rep = Rep::Coeff)
-{
-    RnsPoly p(ctx, basis, Rep::Coeff);
-    for (u32 i = 0; i < p.limbCount(); ++i) {
-        const u64 q = p.mod(i).value();
-        u64 *d = p.limb(i).data();
-        for (u64 k = 0; k < p.n(); ++k)
-            d[k] = rng.nextBounded(q);
-    }
-    if (rep == Rep::Eval)
-        p.toEval();
-    return p;
-}
-
-void
-expectPolysEqual(const RnsPoly &got, const RnsPoly &want, const char *what)
-{
-    ASSERT_EQ(got.limbCount(), want.limbCount()) << what;
-    ASSERT_EQ(got.rep(), want.rep()) << what;
-    for (u32 i = 0; i < got.limbCount(); ++i) {
-        const u64 *g = got.limb(i).data();
-        const u64 *w = want.limb(i).data();
-        for (u64 k = 0; k < got.n(); ++k)
-            ASSERT_EQ(g[k], w[k]) << what << " limb " << i << " coeff " << k;
-    }
-}
+using namespace test;
 
 // ---------------------------------------------------------------------------
 // Batched NTT: any tile width, any batch size, any backend must be
@@ -239,7 +168,7 @@ TEST(KernelFusedPipeline, FusedModUpMatchesUnfusedAcrossBackendsAndDigits)
     const FheContext &ctx = smallContext();
     Rng rng(7201);
     for (u32 level : {u32(1), ctx.maxLevel()}) {
-        RnsPoly d_coeff = randomPoly(ctx, ctx.qBasis(level), rng);
+        RnsPoly d_coeff = randomPoly(ctx, ctx.qBasis(level), rng, Rep::Coeff);
         RnsPoly d_eval = d_coeff;
         d_eval.toEval();
         for (u32 digit = 0; digit < ctx.digitCount(level); ++digit) {

@@ -18,50 +18,7 @@
 namespace crophe::fhe {
 namespace {
 
-using test::smallContext;
-
-/** Every backend compiled in AND runnable on this host. */
-std::vector<kernels::Backend>
-availableBackends()
-{
-    std::vector<kernels::Backend> out = {kernels::Backend::Scalar};
-    if (kernels::available(kernels::Backend::Avx2))
-        out.push_back(kernels::Backend::Avx2);
-    if (kernels::available(kernels::Backend::Avx512))
-        out.push_back(kernels::Backend::Avx512);
-    return out;
-}
-
-const kernels::KernelTable &
-tableFor(kernels::Backend b)
-{
-    switch (b) {
-    case kernels::Backend::Scalar:
-        return kernels::scalarTable();
-#ifdef CROPHE_HAVE_AVX2
-    case kernels::Backend::Avx2:
-        return kernels::avx2Table();
-#endif
-#ifdef CROPHE_HAVE_AVX512
-    case kernels::Backend::Avx512:
-        return kernels::avx512Table();
-#endif
-    default:
-        break;
-    }
-    return kernels::scalarTable();
-}
-
-/** Restores the process-wide backend selection on scope exit. */
-class BackendScope
-{
-  public:
-    BackendScope() : saved_(kernels::activeBackend()) {}
-    ~BackendScope() { kernels::setBackend(saved_); }
-
-  private:
-    kernels::Backend saved_;
-};
+using namespace test;
 
 std::vector<u64>
 randomCanonical(Rng &rng, u64 n, u64 q)
@@ -355,28 +312,6 @@ TEST(KernelBconv, KeySwitchPipelineIdenticalAcrossBackendsAndThreads)
 // (pre-kernel-layer scalar code). Any backend, any thread count, must
 // reproduce every hash exactly.
 // ---------------------------------------------------------------------------
-
-u64
-fnv1a(u64 h, const u64 *p, u64 n)
-{
-    for (u64 i = 0; i < n; ++i) {
-        u64 x = p[i];
-        for (int byte = 0; byte < 8; ++byte) {
-            h ^= (x >> (8 * byte)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    }
-    return h;
-}
-
-u64
-hashPoly(const RnsPoly &p)
-{
-    u64 h = 1469598103934665603ull;
-    for (u32 i = 0; i < p.limbCount(); ++i)
-        h = fnv1a(h, p.limb(i).data(), p.n());
-    return h;
-}
 
 u64
 hashCt(const Ciphertext &ct)

@@ -3,8 +3,13 @@
 
 /** Shared fixtures/helpers for the FHE test binaries. */
 
-#include <memory>
+#include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "common/rng.h"
+#include "fhe/kernels/kernels.h"
 #include "fhe/rns.h"
 
 namespace crophe::fhe::test {
@@ -38,6 +43,103 @@ smallContext()
 {
     static FheContext ctx(smallParams());
     return ctx;
+}
+
+/** Every backend compiled in AND runnable on this host. */
+inline std::vector<kernels::Backend>
+availableBackends()
+{
+    std::vector<kernels::Backend> out = {kernels::Backend::Scalar};
+    if (kernels::available(kernels::Backend::Avx2))
+        out.push_back(kernels::Backend::Avx2);
+    if (kernels::available(kernels::Backend::Avx512))
+        out.push_back(kernels::Backend::Avx512);
+    return out;
+}
+
+/** The kernel table of @p b (scalar if @p b is not compiled in). */
+inline const kernels::KernelTable &
+tableFor(kernels::Backend b)
+{
+    switch (b) {
+    case kernels::Backend::Scalar:
+        return kernels::scalarTable();
+#ifdef CROPHE_HAVE_AVX2
+    case kernels::Backend::Avx2:
+        return kernels::avx2Table();
+#endif
+#ifdef CROPHE_HAVE_AVX512
+    case kernels::Backend::Avx512:
+        return kernels::avx512Table();
+#endif
+    default:
+        break;
+    }
+    return kernels::scalarTable();
+}
+
+/** Restores the process-wide backend selection on scope exit. */
+class BackendScope
+{
+  public:
+    BackendScope() : saved_(kernels::activeBackend()) {}
+    ~BackendScope() { kernels::setBackend(saved_); }
+
+  private:
+    kernels::Backend saved_;
+};
+
+/** Uniform canonical coefficients over @p basis, returned in @p rep. */
+inline RnsPoly
+randomPoly(const FheContext &ctx, const std::vector<u32> &basis, Rng &rng,
+           Rep rep)
+{
+    RnsPoly p(ctx, basis, Rep::Coeff);
+    for (u32 i = 0; i < p.limbCount(); ++i) {
+        const u64 q = p.mod(i).value();
+        u64 *d = p.limb(i).data();
+        for (u64 k = 0; k < p.n(); ++k)
+            d[k] = rng.nextBounded(q);
+    }
+    if (rep == Rep::Eval)
+        p.toEval();
+    return p;
+}
+
+inline void
+expectPolysEqual(const RnsPoly &got, const RnsPoly &want, const char *what)
+{
+    ASSERT_EQ(got.limbCount(), want.limbCount()) << what;
+    ASSERT_EQ(got.rep(), want.rep()) << what;
+    for (u32 i = 0; i < got.limbCount(); ++i) {
+        const u64 *g = got.limb(i).data();
+        const u64 *w = want.limb(i).data();
+        for (u64 k = 0; k < got.n(); ++k)
+            ASSERT_EQ(g[k], w[k]) << what << " limb " << i << " coeff " << k;
+    }
+}
+
+/** FNV-1a over the little-endian bytes of @p n words. */
+inline u64
+fnv1a(u64 h, const u64 *p, u64 n)
+{
+    for (u64 i = 0; i < n; ++i) {
+        u64 x = p[i];
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (x >> (8 * byte)) & 0xff;
+            h *= 1099511628211ull;
+        }
+    }
+    return h;
+}
+
+/** FNV-1a limb trace of @p p, continuing from @p h. */
+inline u64
+hashPoly(const RnsPoly &p, u64 h = 1469598103934665603ull)
+{
+    for (u32 i = 0; i < p.limbCount(); ++i)
+        h = fnv1a(h, p.limb(i).data(), p.n());
+    return h;
 }
 
 }  // namespace crophe::fhe::test

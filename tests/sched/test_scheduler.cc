@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <string>
+
+#include "baselines/baseline.h"
 #include "common/error.h"
 #include "common/parallel.h"
 #include "plan/serialize.h"
@@ -313,6 +318,75 @@ TEST(HybridRotation, ChoiceIsRecordedInSearchTelemetry)
     empty.registerStats(reg2, "sched");
     EXPECT_FALSE(reg2.has("sched.rot.mode"));
     EXPECT_FALSE(reg2.has("sched.ks.dataflow"));
+}
+
+// ---------------------------------------------------------------------------
+// Why the graph-level search points stay: each pinned search below is won
+// by a different point of the rotation-scheme × ks-dataflow space, by a
+// clear margin over the best candidate of the rival point. (Reordered-
+// ModUp also wins some searches, but only by near-ties under 0.07%, so
+// those are deliberately not pinned.)
+// ---------------------------------------------------------------------------
+
+/** Cheapest candidate of a recorded search whose label contains
+ *  @p needle (labels read "workload/rot=hybrid r=4 ks=fused"). */
+double
+cheapestCandidate(const telemetry::SearchTelemetry &search,
+                  const std::string &workload, const std::string &needle)
+{
+    double best = std::numeric_limits<double>::infinity();
+    for (const auto &s : search.curve())
+        if (s.label.rfind(workload + "/rot=", 0) == 0 &&
+            s.label.find(needle) != std::string::npos)
+            best = std::min(best, s.cost);
+    return best;
+}
+
+/** The graph-level search runDesign makes for a CROPHE design. */
+RotationChoice
+searchLikeRunDesign(const baselines::DesignSpec &design,
+                    const std::string &workload, bool ntt_decomp,
+                    bool hybrid, telemetry::SearchTelemetry *search)
+{
+    SchedOptions opt;
+    opt.crossOpDataflow = true;
+    opt.nttDecomp = ntt_decomp;
+    opt.search = search;
+    return chooseRotationScheme(workload, design.params, design.cfg, opt,
+                                hybrid);
+}
+
+TEST(SearchSpaceWinners, FusedWinsHelrOnCrophe64At128MB)
+{
+    auto d = baselines::withSram(baselines::designByName("CROPHE-64"), 128);
+    telemetry::SearchTelemetry search;
+    auto choice = searchLikeRunDesign(d, "helr", true, true, &search);
+    EXPECT_EQ(choice.mode, RotMode::Hybrid);
+    EXPECT_EQ(choice.ksDataflow, graph::KsDataflow::Fused);
+    EXPECT_GT(cheapestCandidate(search, "helr", " ks=ostat"),
+              choice.result.stats.cycles * 1.02);
+}
+
+TEST(SearchSpaceWinners, TripleHoistedWinsBootstrapWithoutHybridAt64MB)
+{
+    auto d = baselines::withSram(baselines::designByName("CROPHE-64"), 64);
+    telemetry::SearchTelemetry search;
+    auto choice = searchLikeRunDesign(d, "bootstrap", true, false, &search);
+    EXPECT_EQ(choice.mode, RotMode::TripleHoisted);
+    EXPECT_EQ(choice.ksDataflow, graph::KsDataflow::OutputStationary);
+    EXPECT_GT(cheapestCandidate(search, "bootstrap", "rot=hoisting "),
+              choice.result.stats.cycles * 1.02);
+}
+
+TEST(SearchSpaceWinners, OutputStationaryWinsBootstrapOnCrophe36)
+{
+    auto d = baselines::designByName("CROPHE-36");
+    telemetry::SearchTelemetry search;
+    auto choice = searchLikeRunDesign(d, "bootstrap", true, true, &search);
+    EXPECT_EQ(choice.mode, RotMode::Hybrid);
+    EXPECT_EQ(choice.ksDataflow, graph::KsDataflow::OutputStationary);
+    EXPECT_GT(cheapestCandidate(search, "bootstrap", " ks=fused"),
+              choice.result.stats.cycles * 1.02);
 }
 
 }  // namespace
