@@ -16,7 +16,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,12 +24,10 @@
 #include "bench/bench_util.h"
 #include "common/cli.h"
 #include "common/common_flags.h"
-#include "common/error.h"
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/shutdown.h"
 #include "plan/plan_cache.h"
-#include "sched/hybrid_rotation.h"
 #include "telemetry/telemetry.h"
 
 using namespace crophe;
@@ -39,8 +36,6 @@ int
 main(int argc, char **argv)
 {
     bool simulate = false;
-    std::string rot_schemes = "all";
-    std::string ks_dataflows = "all";
     cli::FlagParser flags("Figure 9: overall performance comparison.");
     cli::CommonFlags common;
     common.registerInto(flags, cli::CommonFlags::kThreads |
@@ -48,12 +43,6 @@ main(int argc, char **argv)
                                    cli::CommonFlags::kPlanCache);
     flags.addBool("--simulate", &simulate,
                   "cycle-level simulation instead of the cost model");
-    flags.addString("--rot-schemes", "LIST", &rot_schemes,
-                    "rotation schemes to search "
-                    "(minks|hoisting|hybrid|triple|all, comma-separated)");
-    flags.addString("--ks-dataflows", "LIST", &ks_dataflows,
-                    "key-switch dataflows to search "
-                    "(fused|ostat|reordup|all, comma-separated)");
     if (!flags.parse(argc, argv))
         return 1;
     const std::string &plan_dir = common.planCacheDir;
@@ -70,14 +59,6 @@ main(int argc, char **argv)
     run.planCache = cache.get();
     if (!stats_out.empty())
         run.search = &search;
-    try {
-        run.rotSchemeMask = sched::parseRotSchemes(rot_schemes);
-        run.ksDataflowMask = sched::parseKsDataflows(ks_dataflows);
-    } catch (const RecoverableError &e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        flags.printUsage(argv[0], std::cerr);
-        return 1;
-    }
 
     // On SIGINT/SIGTERM the telemetry collected so far is still flushed
     // as valid JSON, with run.truncated marking the early exit.

@@ -40,7 +40,6 @@
 #include "graph/workloads.h"
 #include "plan/plan_cache.h"
 #include "pod/pod.h"
-#include "sched/hybrid_rotation.h"
 #include "sched/scheduler.h"
 #include "sim/simulator.h"
 #include "telemetry/telemetry.h"
@@ -57,8 +56,6 @@ run(int argc, char **argv)
     u32 chips = 1;
     double link_gbs = 600.0;
     double link_latency = 500.0;
-    std::string rot_schemes = "all";
-    std::string ks_dataflows = "all";
     cli::FlagParser flags(
         "Cycle-level simulation of ResNet-20 on CROPHE-36.");
     cli::CommonFlags common;
@@ -79,26 +76,16 @@ run(int argc, char **argv)
                     "pod ring-link bandwidth per direction (GB/s)");
     flags.addDouble("--link-latency", &link_latency,
                     "pod ring-link latency per hop (chip cycles)");
-    flags.addString("--rot-schemes", "LIST", &rot_schemes,
-                    "rotation schemes the end-to-end search may pick "
-                    "(minks|hoisting|hybrid|triple|all, comma-separated)");
-    flags.addString("--ks-dataflows", "LIST", &ks_dataflows,
-                    "key-switch dataflows the search may pick "
-                    "(fused|ostat|reordup|all, comma-separated)");
     if (!flags.parse(argc, argv))
         return 1;
     const std::string &trace_out = common.traceOut;
     const std::string &stats_out = common.statsOut;
     const std::string &plan_dir = common.planCacheDir;
-    u32 rot_mask = 0xF;
-    u32 ks_mask = 0x7;
     try {
         cli::requirePositive("--chips", chips);
         cli::requirePositive("--link-gbs", link_gbs);
         cli::requireNonNegative("--link-latency", link_latency);
         cli::requireNonNegative("--deadline", deadline);
-        rot_mask = sched::parseRotSchemes(rot_schemes);
-        ks_mask = sched::parseKsDataflows(ks_dataflows);
     } catch (const RecoverableError &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         flags.printUsage(argv[0], std::cerr);
@@ -248,8 +235,6 @@ run(int argc, char **argv)
     run.planCache = cache.get();
     run.faults = faults;
     run.deadlineSeconds = deadline;
-    run.rotSchemeMask = rot_mask;
-    run.ksDataflowMask = ks_mask;
     if (telemetry_on)
         run.search = &search;
     auto result = baselines::runDesign(run_design, "resnet20", run);

@@ -90,8 +90,6 @@ runDesignImpl(const DesignSpec &design, const std::string &workload,
     opt.planCache = run.planCache;
     opt.search = run.search;
     opt.deadlineSeconds = run.deadlineSeconds;
-    opt.rotSchemeMask = run.rotSchemeMask;
-    opt.ksDataflowMask = run.ksDataflowMask;
 
     // Rotation scheme × ks dataflow search happens at graph level
     // (Section V-D, DESIGN.md §15).

@@ -66,12 +66,6 @@ struct RunOptions
     const fault::FaultInjector *faults = nullptr;
     /** Anytime budget per graph search (SchedOptions::deadlineSeconds). */
     double deadlineSeconds = 0.0;
-    /** Rotation-scheme filter (SchedOptions::rotSchemeMask); CLI
-     *  --rot-schemes via sched::parseRotSchemes. Default: all four. */
-    u32 rotSchemeMask = 0xF;
-    /** Key-switch dataflow filter (SchedOptions::ksDataflowMask); CLI
-     *  --ks-dataflows via sched::parseKsDataflows. Default: all three. */
-    u32 ksDataflowMask = 0x7;
 };
 
 /**

@@ -53,7 +53,8 @@ FlagParser::addThreadsFlag()
 {
     wantThreads_ = true;
     addUint("--threads", &threads_,
-            "size the process-wide thread pool (0 = hardware)");
+            "size the process-wide thread pool (0 = hardware, at most " +
+                std::to_string(kMaxThreads) + ")");
 }
 
 bool
@@ -122,8 +123,13 @@ FlagParser::parse(int argc, char **argv)
                                      value + "\"");
         *static_cast<u32 *>(flag->out) = *parsed;
     }
-    if (wantThreads_ && threads_ > 0)
-        ThreadPool::setGlobalThreads(threads_);
+    if (wantThreads_ && threads_ > 0) {
+        try {
+            ThreadPool::setGlobalThreads(threads_);
+        } catch (const RecoverableError &e) {
+            return fail(argv[0], std::string("--threads: ") + e.what());
+        }
+    }
     return true;
 }
 
@@ -147,8 +153,8 @@ FlagParser::printUsage(const char *argv0, std::ostream &os) const
     }
 }
 
-std::optional<u32>
-parseU32(const char *text)
+std::optional<u64>
+parseU64(const char *text)
 {
     // strtoull alone skips leading whitespace and accepts a sign (it
     // negates "-1" to 2^64-1), so require a leading digit first.
@@ -157,9 +163,18 @@ parseU32(const char *text)
     errno = 0;
     char *end = nullptr;
     unsigned long long v = std::strtoull(text, &end, 10);
-    if (errno == ERANGE || *end != '\0' || v > UINT32_MAX)
+    if (errno == ERANGE || *end != '\0')
         return std::nullopt;
-    return static_cast<u32>(v);
+    return static_cast<u64>(v);
+}
+
+std::optional<u32>
+parseU32(const char *text)
+{
+    std::optional<u64> v = parseU64(text);
+    if (!v || *v > UINT32_MAX)
+        return std::nullopt;
+    return static_cast<u32>(*v);
 }
 
 void

@@ -48,6 +48,7 @@ class FlagParser
      * Convenience: register the conventional `--threads N` flag, which on
      * parse() sizes the process-wide thread pool (ThreadPool). Results are
      * bit-identical for any N (DESIGN.md §7); only wall-clock changes.
+     * N above kMaxThreads fails the parse with the usage message.
      */
     void addThreadsFlag();
 
@@ -88,11 +89,17 @@ class FlagParser
 };
 
 /**
- * Strict base-10 u32: one or more digits and nothing else — no sign, no
- * whitespace — with a value of at most UINT32_MAX. Returns nullopt
- * otherwise. The one parser behind FlagParser's u32 flags and the
- * CROPHE_THREADS variable, so "-1" can never wrap to 4294967295 and
- * "4294967297" can never truncate to 1.
+ * Strict base-10 u64: one or more digits and nothing else — no sign, no
+ * whitespace — with a value of at most UINT64_MAX. Returns nullopt
+ * otherwise, so "-1" can never wrap to 2^64-1 and an overflow never
+ * saturates. Behind the FaultPlan integer keys and parseU32.
+ */
+std::optional<u64> parseU64(const char *text);
+
+/**
+ * parseU64 limited to UINT32_MAX. The one parser behind FlagParser's u32
+ * flags and the CROPHE_THREADS variable, so "4294967297" can never
+ * truncate to 1.
  */
 std::optional<u32> parseU32(const char *text);
 

@@ -1,14 +1,17 @@
 #include "common/parallel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "common/cli.h"
+#include "common/error.h"
 #include "common/logging.h"
 
 namespace crophe {
@@ -21,12 +24,12 @@ defaultThreadCount()
 {
     if (const char *env = std::getenv("CROPHE_THREADS")) {
         std::optional<u32> v = cli::parseU32(env);
-        if (v && *v > 0)
+        if (v && *v > 0 && *v <= kMaxThreads)
             return *v;
         CROPHE_WARN("ignoring invalid CROPHE_THREADS=", env);
     }
     u32 hw = std::thread::hardware_concurrency();
-    return hw > 0 ? hw : 1;
+    return std::clamp<u32>(hw, 1, kMaxThreads);
 }
 
 std::mutex g_pool_mutex;
@@ -254,6 +257,10 @@ ThreadPool::global()
 void
 ThreadPool::setGlobalThreads(u32 threads)
 {
+    if (threads > kMaxThreads)
+        throw RecoverableError("thread count " + std::to_string(threads) +
+                               " exceeds the limit of " +
+                               std::to_string(kMaxThreads));
     std::lock_guard<std::mutex> lock(g_pool_mutex);
     g_thread_override = threads;
     g_pool.reset();  // recreated lazily at the next global() call

@@ -16,9 +16,10 @@
  * The pool size comes from, in priority order: an explicit
  * setGlobalThreads() call (the --threads flag of the benches and
  * examples), the CROPHE_THREADS environment variable, and
- * std::thread::hardware_concurrency(). Nested parallel calls are allowed:
- * a worker forking a sub-batch shares its chunks with the pool and helps
- * drain them, so nesting never deadlocks and never oversubscribes.
+ * std::thread::hardware_concurrency(), capped at kMaxThreads. Nested
+ * parallel calls are allowed: a worker forking a sub-batch shares its
+ * chunks with the pool and helps drain them, so nesting never deadlocks
+ * and never oversubscribes.
  */
 
 #include <functional>
@@ -28,6 +29,16 @@
 #include "common/types.h"
 
 namespace crophe {
+
+/**
+ * Upper bound on the pool size. Every executor is an OS thread with its
+ * own stack, so a huge but well-formed count (`--threads 4000000000`)
+ * would allocate workers until memory or process ids run out. No host
+ * this code targets has more hardware threads than this, and every
+ * parallel loop here splits into far fewer chunks, so larger counts are
+ * rejected rather than honoured.
+ */
+constexpr u32 kMaxThreads = 1024;
 
 /**
  * Work-stealing fork-join pool: N-1 worker threads plus the forking
@@ -63,7 +74,8 @@ class ThreadPool
     /**
      * Resize the process-wide pool (0 = hardware concurrency). Must not
      * race with in-flight parallel work; intended for flag parsing and
-     * tests.
+     * tests. Throws RecoverableError, leaving the pool as it was, when
+     * @p threads exceeds kMaxThreads.
      */
     static void setGlobalThreads(u32 threads);
 

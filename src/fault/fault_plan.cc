@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <iomanip>
+#include <optional>
 #include <sstream>
 
+#include "common/cli.h"
 #include "common/error.h"
 #include "common/logging.h"
 
@@ -33,12 +36,22 @@ u64
 parseU64(const std::string &spec, const Token &tok, const std::string &key,
          const std::string &value)
 {
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0')
+    std::optional<u64> v = cli::parseU64(value.c_str());
+    if (!v)
         badToken(spec, tok, key + " expects an unsigned integer, got \"" +
                                value + "\"");
-    return v;
+    return *v;
+}
+
+u32
+parseU32(const std::string &spec, const Token &tok, const std::string &key,
+         const std::string &value)
+{
+    u64 v = parseU64(spec, tok, key, value);
+    if (v > UINT32_MAX)
+        badToken(spec, tok, key + " must be at most 4294967295, got " +
+                               value);
+    return static_cast<u32>(v);
 }
 
 double
@@ -165,8 +178,7 @@ FaultPlan::parse(const std::string &spec, u32 podChips)
                          "chip-fail needs a fire time: chip-fail@SECONDS=K");
             ChipFailEvent ev;
             ev.seconds = parseEventSeconds(spec, tok, key, at);
-            ev.chips =
-                static_cast<u32>(parseU64(spec, tok, "chip-fail", value));
+            ev.chips = parseU32(spec, tok, "chip-fail", value);
             if (ev.chips == 0)
                 badToken(spec, tok, "chip-fail must kill at least 1 chip");
             plan.chipFails.push_back(ev);
@@ -192,31 +204,25 @@ FaultPlan::parse(const std::string &spec, u32 podChips)
         else if (key == "dram-ecc")
             plan.dramEccFraction = parseRate(spec, tok, key, value);
         else if (key == "dram-retries") {
-            plan.dramRetryLimit =
-                static_cast<u32>(parseU64(spec, tok, key, value));
+            plan.dramRetryLimit = parseU32(spec, tok, key, value);
             retryTok = tok;
         } else if (key == "dram-backoff")
             plan.dramRetryBackoffCycles = parseCycles(spec, tok, key, value);
         else if (key == "stalled-channels")
-            plan.stalledDramChannels =
-                static_cast<u32>(parseU64(spec, tok, key, value));
+            plan.stalledDramChannels = parseU32(spec, tok, key, value);
         else if (key == "channel-stall")
             plan.channelStallCycles = parseCycles(spec, tok, key, value);
         else if (key == "noc-fail")
             plan.nocLinkFailRate = parseRate(spec, tok, key, value);
         else if (key == "noc-extra-hops")
-            plan.nocRerouteExtraHops =
-                static_cast<u32>(parseU64(spec, tok, key, value));
+            plan.nocRerouteExtraHops = parseU32(spec, tok, key, value);
         else if (key == "dead-pe-groups")
-            plan.deadPeGroups =
-                static_cast<u32>(parseU64(spec, tok, key, value));
+            plan.deadPeGroups = parseU32(spec, tok, key, value);
         else if (key == "failed-sram-banks") {
-            plan.failedSramBanks =
-                static_cast<u32>(parseU64(spec, tok, key, value));
+            plan.failedSramBanks = parseU32(spec, tok, key, value);
             bankTok = tok;
         } else if (key == "dead-chips") {
-            plan.deadChips =
-                static_cast<u32>(parseU64(spec, tok, key, value));
+            plan.deadChips = parseU32(spec, tok, key, value);
             deadChipsTok = tok;
         } else
             badToken(spec, tok, "unknown key \"" + key + "\"");

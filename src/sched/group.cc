@@ -52,8 +52,9 @@ optionsDigest(const SchedOptions &opt)
     // a future inexact bound must never validate against exact-search
     // cache entries.
     mix(opt.pruneSearch ? 1 : 0);
-    mix(opt.rotSchemeMask);
-    mix(opt.ksDataflowMask);
+    // The rotation scheme and key-switch dataflow are not options: each
+    // candidate of chooseRotationScheme is its own graph, and the graph
+    // hash of the plan key already names it.
     // deadlineSeconds is deliberately NOT mixed: a deadline can only
     // produce degraded schedules, which are never inserted into the plan
     // cache, so every cached entry is the exact result for this digest.

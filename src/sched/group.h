@@ -47,21 +47,6 @@ struct SchedOptions
      * exhaustive search; false forces the exhaustive sweep (tests).
      */
     bool pruneSearch = true;
-    /**
-     * Bitmask of graph::RotMode values the rotation-scheme search may
-     * enumerate (bit = 1 << static_cast<u32>(mode)); default all four
-     * (MinKs | Hoisting | Hybrid | TripleHoisted). Only consulted by
-     * chooseRotationScheme, but part of optionsDigest() since it shapes
-     * which candidate won a cached search.
-     */
-    u32 rotSchemeMask = 0xF;
-    /**
-     * Bitmask of graph::KsDataflow values the search may enumerate
-     * (bit = 1 << static_cast<u32>(df)); default all three
-     * (Fused | OutputStationary | ReorderedModUp). Same digest rationale
-     * as rotSchemeMask.
-     */
-    u32 ksDataflowMask = 0x7;
     /** Optional search observer: candidate costs and enumerator memo
      *  effectiveness are recorded here (null = no telemetry). */
     telemetry::SearchTelemetry *search = nullptr;

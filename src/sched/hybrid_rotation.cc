@@ -3,7 +3,6 @@
 #include <limits>
 #include <memory>
 
-#include "common/error.h"
 #include "common/parallel.h"
 #include "sched/enumerator.h"
 #include "sched/scheduler.h"
@@ -22,7 +21,7 @@ rHybCandidates(u32 n1_max)
 
 namespace {
 
-/** Search-label spelling of a rotation candidate (also the CLI name). */
+/** Search-label spelling of a rotation candidate. */
 std::string
 rotLabel(graph::RotMode mode, u32 r_hyb)
 {
@@ -36,71 +35,7 @@ rotLabel(graph::RotMode mode, u32 r_hyb)
     return "?";
 }
 
-/** Comma-split @p spec and map each token through @p bit_of ("all" = all
- *  bits of @p all_mask); user input, so unknown tokens throw. */
-template <typename BitOf>
-u32
-parseMask(const std::string &flag, const std::string &spec, u32 all_mask,
-          BitOf bit_of)
-{
-    u32 mask = 0;
-    std::size_t pos = 0;
-    while (pos <= spec.size()) {
-        std::size_t comma = spec.find(',', pos);
-        if (comma == std::string::npos)
-            comma = spec.size();
-        std::string token = spec.substr(pos, comma - pos);
-        if (!token.empty()) {
-            if (token == "all")
-                mask |= all_mask;
-            else
-                mask |= bit_of(token);
-        }
-        pos = comma + 1;
-    }
-    if (mask == 0)
-        throw RecoverableError(flag + ": empty filter '" + spec + "'");
-    return mask;
-}
-
 }  // namespace
-
-u32
-parseRotSchemes(const std::string &spec)
-{
-    return parseMask("--rot-schemes", spec, 0xF, [](const std::string &t) {
-        if (t == "minks")
-            return 1u << static_cast<u32>(graph::RotMode::MinKs);
-        if (t == "hoisting")
-            return 1u << static_cast<u32>(graph::RotMode::Hoisting);
-        if (t == "hybrid")
-            return 1u << static_cast<u32>(graph::RotMode::Hybrid);
-        if (t == "triple")
-            return 1u << static_cast<u32>(graph::RotMode::TripleHoisted);
-        // User input (CLI filter), not an invariant: recoverable.
-        throw RecoverableError("--rot-schemes: unknown scheme '" + t +
-                               "' (want minks|hoisting|hybrid|triple|all)");
-    });
-}
-
-u32
-parseKsDataflows(const std::string &spec)
-{
-    return parseMask(
-        "--ks-dataflows", spec, 0x7, [](const std::string &t) {
-            if (t == "fused")
-                return 1u << static_cast<u32>(graph::KsDataflow::Fused);
-            if (t == "ostat")
-                return 1u
-                       << static_cast<u32>(
-                              graph::KsDataflow::OutputStationary);
-            if (t == "reordup")
-                return 1u
-                       << static_cast<u32>(graph::KsDataflow::ReorderedModUp);
-            throw RecoverableError("--ks-dataflows: unknown dataflow '" + t +
-                                   "' (want fused|ostat|reordup|all)");
-        });
-}
 
 RotationChoice
 chooseRotationScheme(const std::string &workload,
@@ -114,44 +49,26 @@ chooseRotationScheme(const std::string &workload,
     // searches. Evaluate them in parallel into per-candidate slots, then
     // record telemetry and reduce on this thread in candidate order — the
     // sequential sweep's first-wins tie-breaking, bit for bit. Dataflows
-    // iterate innermost with Fused first, so on a tie the legacy
-    // (per-scheme Fused) winner still wins.
+    // iterate innermost with Fused first, so a tie keeps the fused graph.
     struct Candidate
     {
         graph::RotMode mode;
         u32 rHyb;
         graph::KsDataflow df;
     };
-    std::vector<graph::KsDataflow> dfs;
-    for (graph::KsDataflow df :
-         {graph::KsDataflow::Fused, graph::KsDataflow::OutputStationary,
-          graph::KsDataflow::ReorderedModUp}) {
-        if (opt.ksDataflowMask & (1u << static_cast<u32>(df)))
-            dfs.push_back(df);
-    }
-    if (dfs.empty())
-        throw RecoverableError(
-            "key-switch dataflow mask excludes every dataflow");
-    auto allows = [&opt](graph::RotMode m) {
-        return (opt.rotSchemeMask >> static_cast<u32>(m)) & 1u;
-    };
     std::vector<Candidate> cands;
-    auto push_scheme = [&](graph::RotMode mode, u32 r) {
-        for (graph::KsDataflow df : dfs)
+    auto push_scheme = [&cands](graph::RotMode mode, u32 r) {
+        for (graph::KsDataflow df :
+             {graph::KsDataflow::Fused, graph::KsDataflow::OutputStationary,
+              graph::KsDataflow::ReorderedModUp})
             cands.push_back({mode, r, df});
     };
-    if (allows(graph::RotMode::MinKs))
-        push_scheme(graph::RotMode::MinKs, 0);
-    if (allows(graph::RotMode::Hoisting))
-        push_scheme(graph::RotMode::Hoisting, 0);
-    if (allow_hybrid && allows(graph::RotMode::Hybrid))
+    // Min-KS and Hoisting are not candidates: neither won any Fig 9/10/11
+    // search (DESIGN.md §15).
+    if (allow_hybrid)
         for (u32 r : rHybCandidates())
             push_scheme(graph::RotMode::Hybrid, r);
-    if (allows(graph::RotMode::TripleHoisted))
-        push_scheme(graph::RotMode::TripleHoisted, 0);
-    if (cands.empty())
-        throw RecoverableError(
-            "rotation-scheme mask excludes every scheme for this design");
+    push_scheme(graph::RotMode::TripleHoisted, 0);
 
     // Rotation candidates rebuild largely identical graphs (the compute
     // pipeline around the rotations is unchanged), so they share one

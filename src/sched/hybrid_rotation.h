@@ -10,9 +10,11 @@
  * hoisted steps; fused vs CiFlow-reordered key-switch pipelines), so the
  * scheduler enumerates them "at the very beginning": one workload graph
  * is generated per (rotation scheme, ks dataflow) candidate and each is
- * scheduled independently; the cheapest wins. SchedOptions::rotSchemeMask
- * and ::ksDataflowMask restrict the cross product (CLI --rot-schemes /
- * --ks-dataflows).
+ * scheduled independently; the cheapest wins. The candidate list is
+ * fixed: Hybrid (r_hyb in rHybCandidates(), only when the design allows
+ * it) and TripleHoisted, each crossed with the three ks dataflows. Min-KS
+ * and Hoisting never won a Fig 9/10/11 search, so they are not searched;
+ * they stay graph builders (Hybrid is built from them, MAD uses Min-KS).
  */
 
 #include <string>
@@ -37,26 +39,10 @@ struct RotationChoice
 std::vector<u32> rHybCandidates(u32 n1_max = 16);
 
 /**
- * Parse a comma-separated rotation-scheme filter into a RotMode bitmask
- * for SchedOptions::rotSchemeMask. Accepted names: minks, hoisting,
- * hybrid, triple (or all). Throws RecoverableError naming the offending
- * token on anything else, and on an empty result.
- */
-u32 parseRotSchemes(const std::string &spec);
-
-/**
- * Parse a comma-separated key-switch-dataflow filter into a KsDataflow
- * bitmask for SchedOptions::ksDataflowMask. Accepted names: fused, ostat,
- * reordup (or all). Same error contract as parseRotSchemes.
- */
-u32 parseKsDataflows(const std::string &spec);
-
-/**
  * Build the workload named @p workload for every (rotation scheme,
- * key-switch dataflow) pair allowed by @p allow_hybrid and the masks in
- * @p opt, and return the fastest on @p cfg. Ties resolve first-wins in
- * candidate order (Fused before the CiFlow dataflows within each scheme),
- * so enlarging the space never flips a tie away from the legacy winner.
+ * key-switch dataflow) candidate (Hybrid only if @p allow_hybrid) and
+ * return the fastest on @p cfg. Ties resolve first-wins in candidate
+ * order (Fused before the CiFlow dataflows within each scheme).
  */
 RotationChoice chooseRotationScheme(const std::string &workload,
                                     const graph::FheParams &params,

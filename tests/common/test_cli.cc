@@ -7,6 +7,7 @@
 
 #include "common/cli.h"
 #include "common/error.h"
+#include "common/parallel.h"
 
 namespace crophe::cli {
 namespace {
@@ -169,6 +170,22 @@ TEST(FlagParser, UintAcceptsTheWholeU32Range)
     EXPECT_EQ(lo, 0u);
     EXPECT_EQ(hi, 4294967295u);
     EXPECT_EQ(padded, 42u);
+}
+
+TEST(FlagParser, ThreadsAboveTheCapFailTheParse)
+{
+    // A well-formed but huge --threads would allocate workers until
+    // memory runs out; the parse fails and the pool stays as it was.
+    const u32 before = ThreadPool::globalThreads();
+    for (const std::string &bad :
+         {std::to_string(kMaxThreads + 1), std::string("4000000000"),
+          std::string("4294967295")}) {
+        FlagParser p;
+        p.addThreadsFlag();
+        Argv a({"prog", "--threads", bad.c_str()});
+        EXPECT_FALSE(p.parse(a.argc(), a.argv())) << bad;
+        EXPECT_EQ(ThreadPool::globalThreads(), before) << bad;
+    }
 }
 
 TEST(FlagParser, RejectsPositionalArgument)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <numeric>
 #include <optional>
@@ -10,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/error.h"
 #include "common/parallel.h"
 
 namespace crophe {
@@ -177,13 +179,31 @@ TEST_F(ParallelTest, EnvThreadsAcceptsOnlyAPositiveU32)
     }
     // A rejected value falls back to the hardware count: "-1" must not
     // wrap to 4294967295 workers, and 2^32+1 must not truncate to 1.
-    const u32 hw = std::max(1u, std::thread::hardware_concurrency());
+    // Counts above kMaxThreads are rejected the same way.
+    const u32 hw =
+        std::clamp(std::thread::hardware_concurrency(), 1u, kMaxThreads);
+    const std::string over_cap = std::to_string(kMaxThreads + 1);
     for (const char *bad : {"-1", "+2", "0", " 3", "3x", "", "4294967296",
-                            "4294967297", "99999999999999999999999"}) {
+                            "4294967297", "99999999999999999999999",
+                            over_cap.c_str(), "4000000000"}) {
         ScopedThreadsEnv env(bad);
         ThreadPool::setGlobalThreads(0);
         EXPECT_EQ(ThreadPool::globalThreads(), hw) << '"' << bad << '"';
     }
+}
+
+TEST_F(ParallelTest, ThreadCountsAboveTheCapAreRejected)
+{
+    // Rejected before the old pool is dropped, so no pool is ever built
+    // at the requested size.
+    ThreadPool::setGlobalThreads(3);
+    for (u32 bad : {kMaxThreads + 1, 4000000000u, UINT32_MAX}) {
+        EXPECT_THROW(ThreadPool::setGlobalThreads(bad), RecoverableError)
+            << bad;
+        EXPECT_EQ(ThreadPool::globalThreads(), 3u) << bad;
+    }
+    ThreadPool::setGlobalThreads(kMaxThreads);
+    EXPECT_EQ(ThreadPool::globalThreads(), kMaxThreads);
 }
 
 }  // namespace

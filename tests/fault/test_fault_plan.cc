@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "common/error.h"
@@ -73,6 +74,40 @@ TEST(FaultPlan, RejectsMalformedSpecs)
     EXPECT_THROW(FaultPlan::parse("failed-sram-banks=32"),
                  RecoverableError);
     EXPECT_THROW(FaultPlan::parse("noc-fail=nan"), RecoverableError);
+}
+
+TEST(FaultPlan, RejectsSignedOverflowingAndTruncatedIntegers)
+{
+    // Signs, blanks and values past 2^64-1 are not unsigned integers.
+    for (const char *spec :
+         {"seed=-1", "seed=+1", "seed= 1", "seed=18446744073709551616",
+          "seed=99999999999999999999999"})
+        EXPECT_THROW(FaultPlan::parse(spec), RecoverableError) << spec;
+    EXPECT_EQ(FaultPlan::parse("seed=18446744073709551615").seed,
+              UINT64_MAX);
+
+    // The u32 keys reject values past 2^32-1 instead of truncating them
+    // (4294967297 would otherwise read as 1).
+    for (const char *key :
+         {"chip-fail@1", "dram-retries", "stalled-channels",
+          "noc-extra-hops", "dead-pe-groups", "failed-sram-banks",
+          "dead-chips"}) {
+        const std::string spec = std::string(key) + "=4294967297";
+        EXPECT_THROW(FaultPlan::parse(spec), RecoverableError) << spec;
+    }
+    EXPECT_EQ(FaultPlan::parse("noc-extra-hops=4294967295")
+                  .nocRerouteExtraHops,
+              UINT32_MAX);
+    try {
+        FaultPlan::parse("seed=1,dead-pe-groups=4294967297");
+        FAIL() << "expected RecoverableError";
+    } catch (const RecoverableError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("\"dead-pe-groups=4294967297\""),
+                  std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("at most 4294967295"), std::string::npos) << msg;
+    }
 }
 
 TEST(FaultPlan, DegradedConfigShrinksTheArrayAndBuffer)

@@ -86,8 +86,8 @@ TEST(KernelKsDataflow, KeySwitchMatchesUnfusedAcrossLevelsBackendsThreads)
  * bit-identity plus a decrypt-level comparison against rotate().
  */
 Ciphertext
-hoistedRotateOracle(const FheContext &ctx, const Evaluator &eval,
-                    const Ciphertext &ct, i64 r, const KswKey &rk)
+hoistedRotateOracle(const FheContext &ctx, const Ciphertext &ct, i64 r,
+                    const KswKey &rk)
 {
     const u32 level = ct.level;
     const u32 beta = ctx.digitCount(level);
@@ -145,7 +145,7 @@ TEST(KernelHoisting, HoistedRotateMatchesOracleAndDecryptsLikeRotate)
         auto digits = eval.hoistedDecompModUp(ct.a, ct.level);
         for (i64 r : {i64(1), i64(3), i64(7)}) {
             KswKey rk = keygen.makeRotationKey(r);
-            Ciphertext want = hoistedRotateOracle(ctx, eval, ct, r, rk);
+            Ciphertext want = hoistedRotateOracle(ctx, ct, r, rk);
             for (kernels::Backend b : availableBackends()) {
                 kernels::setBackend(b);
                 Ciphertext got = eval.hoistedRotate(ct, digits, r, rk);
@@ -225,8 +225,7 @@ TEST(KernelTripleHoistedBsgs, BabyStepsMatchOracleAndDecryptLikeHoisting)
     ASSERT_EQ(got.size(), eager.size());
     for (u32 i = 1; i < n1; ++i) {
         // Bit-for-bit against the unfused-primitive oracle...
-        Ciphertext want =
-            hoistedRotateOracle(s.ctx, s.eval, ct, i, keys.rot.at(i));
+        Ciphertext want = hoistedRotateOracle(s.ctx, ct, i, keys.rot.at(i));
         expectPolysEqual(got[i].b, want.b, "baby b");
         expectPolysEqual(got[i].a, want.a, "baby a");
         // ...and decrypt-equivalent to the eager rotation.

@@ -99,8 +99,9 @@ TEST(Trace, ChunkTotalsMatchGroupAnalysis)
     // Apportioning rounds down per chunk; totals must be close.
     EXPECT_LE(sram, group.sramWords);
     EXPECT_LE(dram, group.dramWords);
-    if (group.sramWords > 0)
+    if (group.sramWords > 0) {
         EXPECT_GT(sram, group.sramWords / 2);
+    }
 }
 
 TEST(Trace, PipelinedDepsAreMarked)
