@@ -119,6 +119,7 @@ breakdown(const char *baseline_name, const char *crophe_name,
         graph::WorkloadOptions wopt;
         wopt.rotMode = best_choice.mode;
         wopt.rHyb = best_choice.rHyb;
+        wopt.ksDataflow = best_choice.ksDataflow;
         auto w = graph::buildBootstrapping(params, wopt);
         opt.nttDecomp = true;
         telem->statsPrefix = "sim." + std::string(baseline_name);

@@ -462,6 +462,23 @@ runDigest(const std::vector<kernels::Backend> &backends)
     RnsPoly d_coeff = d;
     d_coeff.toCoeff();
 
+    // BSGS matvecs: a 16x16 matrix, n1 = n2 = 4.
+    const u32 kN1 = 4, kN2 = 4, kRHyb = 2;
+    Rng mrng(17);
+    std::vector<std::vector<double>> m(kN1 * kN2,
+                                       std::vector<double>(kN1 * kN2));
+    for (auto &row : m)
+        for (auto &x : row)
+            x = mrng.nextDouble() - 0.5;
+    const auto diagonals = matrixDiagonals(m, ctx.n() / 2);
+    // The Hybrid keys come from a copy of the fixture's generator (same
+    // secret key, its own copy of the stream), so the bsgs_triple keys
+    // drawn per backend below stay the ones they always were.
+    KeyGenerator hyb_keygen = fx.keygen;
+    BsgsKeys hyb_keys;
+    for (i64 r : requiredRotations(kN1, kN2, RotStrategy::Hybrid, kRHyb))
+        hyb_keys.rot.emplace(r, hyb_keygen.makeRotationKey(r));
+
     for (kernels::Backend b : backends) {
         kernels::setBackend(b);
         const char *name = kernels::backendName(b);
@@ -511,25 +528,24 @@ runDigest(const std::vector<kernels::Backend> &backends)
         // strategies (hoisting lift ambiguity), but deterministic, so its
         // own hash still pins warm-vs-cold and thread-count invariance.
         {
-            const u32 n1 = 4, n2 = 4;
-            const u64 s = n1 * n2;
-            Rng mrng(17);
-            std::vector<std::vector<double>> m(s, std::vector<double>(s));
-            for (auto &row : m)
-                for (auto &x : row)
-                    x = mrng.nextDouble() - 0.5;
-            auto diagonals = matrixDiagonals(m, fx.ctx.n() / 2);
             BsgsKeys keys;
-            for (i64 r : requiredRotations(n1, n2,
+            for (i64 r : requiredRotations(kN1, kN2,
                                            RotStrategy::TripleHoisted, 1))
                 keys.rot.emplace(r, fx.keygen.makeRotationKey(r));
             Ciphertext mv =
-                ptMatVecMult(fx.eval, fx.ct, diagonals, n1, n2,
+                ptMatVecMult(fx.eval, fx.ct, diagonals, kN1, kN2,
                              RotStrategy::TripleHoisted, 1, keys);
             std::printf("digest bsgs_triple %s %016llx%016llx\n", name,
                         static_cast<unsigned long long>(hashPoly(mv.b)),
                         static_cast<unsigned long long>(hashPoly(mv.a)));
         }
+        // Hybrid BSGS matvec (hoisted fine and coarse baby steps); its
+        // keys are shared by every backend, so its hash is too.
+        Ciphertext mv = ptMatVecMult(fx.eval, fx.ct, diagonals, kN1, kN2,
+                                     RotStrategy::Hybrid, kRHyb, hyb_keys);
+        std::printf("digest bsgs_hybrid %s %016llx%016llx\n", name,
+                    static_cast<unsigned long long>(hashPoly(mv.b)),
+                    static_cast<unsigned long long>(hashPoly(mv.a)));
     }
 }
 

@@ -56,19 +56,14 @@ babySteps(const Evaluator &eval, const Ciphertext &ct, u32 n1,
             out[i] = eval.rotate(out[i - 1], 1, k1);
         break;
       }
-      case RotStrategy::Hoisting: {
-        // Functionally, hoisting produces each rotation from the original
-        // ciphertext; the shared Decomp/ModUp is a cost-level property that
-        // the scheduler models (babyStepCost).
-        for (u32 i = 1; i < n1; ++i)
-            out[i] = eval.rotate(ct, i, keys.rot.at(i));
-        break;
-      }
+      case RotStrategy::Hoisting:
       case RotStrategy::TripleHoisted: {
-        // Genuinely shared Decomp/ModUp: ct.a is decomposed and raised to
-        // the extended basis once, then every baby-step rotation permutes
+        // One shared Decomp/ModUp: ct.a is decomposed and raised to the
+        // extended basis once, then every baby-step rotation permutes
         // the precomputed digits (decrypt-equivalent to eval.rotate; the
         // permuted-lift difference is absorbed by key-switch noise).
+        if (n1 < 2)
+            break;
         auto digits = eval.hoistedDecompModUp(ct.a, ct.level);
         for (u32 i = 1; i < n1; ++i)
             out[i] = eval.hoistedRotate(ct, digits, i, keys.rot.at(i));
@@ -76,13 +71,20 @@ babySteps(const Evaluator &eval, const Ciphertext &ct, u32 n1,
       }
       case RotStrategy::Hybrid: {
         CROPHE_ASSERT(r_hyb >= 1 && r_hyb <= n1, "bad r_hyb ", r_hyb);
-        // Coarse Min-KS chain at stride r_hyb...
-        for (u32 c = r_hyb; c < n1; c += r_hyb)
-            out[c] = eval.rotate(out[c - r_hyb], r_hyb, keys.rot.at(r_hyb));
-        // ...then Hoisting fine steps within each coarse group.
+        // Coarse Min-KS chain at stride r_hyb; each coarse ciphertext is
+        // decomposed and raised once, and its group's fine steps and the
+        // next coarse step are all hoisted rotations of those digits.
         for (u32 c = 0; c < n1; c += r_hyb) {
+            const bool next = c + r_hyb < n1;
+            if (!next && c + 1 >= n1)
+                break;  // a lone last member rotates nothing
+            auto digits = eval.hoistedDecompModUp(out[c].a, out[c].level);
             for (u32 f = 1; f < r_hyb && c + f < n1; ++f)
-                out[c + f] = eval.rotate(out[c], f, keys.rot.at(f));
+                out[c + f] =
+                    eval.hoistedRotate(out[c], digits, f, keys.rot.at(f));
+            if (next)
+                out[c + r_hyb] = eval.hoistedRotate(out[c], digits, r_hyb,
+                                                    keys.rot.at(r_hyb));
         }
         break;
       }
@@ -179,7 +181,7 @@ ptMatVecMult(const Evaluator &eval, const Ciphertext &ct,
                     rotated[k] = applyAutomorphism(digits[k], g);
                 });
                 auto [ip_b, ip_a] =
-                    eval.hoistedInnerProd(std::move(rotated), gk);
+                    eval.hoistedInnerProd(rotated, gk);
                 if (!have_acc) {
                     acc_b = std::move(ip_b);
                     acc_a = std::move(ip_a);
@@ -219,11 +221,14 @@ babyStepCost(u32 n1, RotStrategy strategy, u32 r_hyb)
         return {n1 - 1, 1};
       case RotStrategy::Hoisting:
       case RotStrategy::TripleHoisted:
-        return {1, n1 - 1};
+        return {n1 > 1 ? 1u : 0u, n1 - 1};
       case RotStrategy::Hybrid: {
         CROPHE_ASSERT(r_hyb >= 1 && r_hyb <= n1, "bad r_hyb ", r_hyb);
         u32 coarse = ceilDiv(n1, r_hyb) - 1;
-        u32 pairs = coarse + (r_hyb > 1 ? 1 : 0);
+        // Every coarse group that rotates anything shares one ModUp: the
+        // groups before the last feed the next coarse step, and the last
+        // one only if it has fine steps (at least two members).
+        u32 pairs = coarse + (n1 - coarse * r_hyb > 1 ? 1 : 0);
         u32 evk = (r_hyb - 1) + (coarse > 0 ? 1 : 0);
         return {pairs, evk};
       }

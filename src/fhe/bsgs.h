@@ -10,20 +10,26 @@
  *  - Hoisting (MAD): parallel rotations sharing Decomp/ModUp, one evk each;
  *  - Hybrid (CROPHE): coarse Min-KS steps of stride r_hyb, each expanded by
  *    Hoisting into fine steps — the fine-step evks are shared across all
- *    coarse steps;
+ *    coarse steps, and each coarse group shares one Decomp/ModUp for its
+ *    fine steps and the next coarse step;
  *  - TripleHoisted (Akherati & Zhang): hoisted baby steps (one shared
  *    Decomp/ModUp for the whole set), plus the giant-step inner products
  *    accumulated in the extended qp basis so the per-giant-step ModDown
  *    collapses to one hoisted ModDown at the end (DESIGN.md §15).
  *
- * MinKs/Hoisting/Hybrid compute bit-identical results; TripleHoisted
- * reuses hoisted ModUp digits across rotations (a lift ambiguity
- * absorbed by key-switch noise, as in standard hoisting) and defers
- * ModDown across the giant-step sum (rounding shift of at most n2-1
- * per coefficient) — both far below the noise floor, and validated
- * against a same-math oracle plus a decrypt-level comparison.
- * The scheduler chooses among all four by cost. This module is the
- * functional counterpart used for correctness tests and the examples.
+ * MinKs rotates eagerly (Evaluator::rotate per step); the other three
+ * rotate hoisted digits (Evaluator::hoistedRotate), so babySteps()
+ * performs exactly babyStepCost().modUpDown Decomp/ModUps. The
+ * strategies decrypt to the same slots but not to the same bits: a
+ * rotation chain carries different key-switch noise than a direct
+ * rotation, hoisting reuses ModUp digits across rotations (a lift
+ * ambiguity absorbed by key-switch noise), and TripleHoisted defers
+ * ModDown across the giant-step sum (rounding shift of at most n2-1 per
+ * coefficient) — all far below the noise floor. Each hoisted strategy is
+ * validated against a same-math oracle bit for bit plus a decrypt-level
+ * comparison. The scheduler searches Hybrid and TripleHoisted with its
+ * own cost model; this module is the functional counterpart used for
+ * correctness tests, the examples and the benchmark.
  */
 
 #include <map>

@@ -1,11 +1,13 @@
 #include "fhe/ckks.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "fhe/automorphism.h"
+#include "fhe/kernels/kernels.h"
 
 namespace crophe::fhe {
 
@@ -235,32 +237,40 @@ Evaluator::hoistedDecompModUp(const RnsPoly &d, u32 level) const
 }
 
 std::pair<RnsPoly, RnsPoly>
-Evaluator::hoistedInnerProd(std::vector<RnsPoly> digits,
+Evaluator::hoistedInnerProd(const std::vector<RnsPoly> &digits,
                             const KswKey &key) const
 {
     const u32 beta = static_cast<u32>(digits.size());
     CROPHE_ASSERT(beta >= 1 && beta <= key.digitCount(),
                   "digit count mismatch in hoisted inner product");
-    // Digits are independent up to the final accumulation: compute the
-    // per-digit partial products in parallel, then merge them on this
-    // thread in digit order. Modular adds are exact, so the index-order
-    // merge is bit-identical to the sequential loop. The key's rows are
-    // multiplied in place via mulEwRestricted — no restrictedTo copy of
-    // the key — and the a-product reuses the digit's own slab.
-    std::vector<RnsPoly> parts_b(beta);
-    parallelFor(0, beta, [&](u64 j) {
-        parts_b[j] = digits[j];
-        parts_b[j].mulEwRestricted(key.b[j]);
-        digits[j].mulEwRestricted(key.a[j]);
+    // The kernel sums β products of two residues below 2^60 in 128 bits.
+    CROPHE_ASSERT(beta < 256, "too many digits for the inner-product kernel");
+    const std::vector<u32> &basis = digits[0].basis();
+    const std::vector<u32> &key_basis = key.b[0].basis();
+    RnsPoly acc_b(*ctx_, basis, Rep::Eval);
+    RnsPoly acc_a(*ctx_, basis, Rep::Eval);
+    const auto &kt = kernels::table();
+    // Output-stationary: one kernel call per limb reads that limb of
+    // every digit and of the key's matching rows (in place, no copies)
+    // and reduces each output once. Limbs are independent, and the
+    // result equals the per-digit multiply-then-add flow bit for bit.
+    parallelFor(0, basis.size(), [&](u64 l) {
+        auto it = std::find(key_basis.begin(), key_basis.end(), basis[l]);
+        CROPHE_ASSERT(it != key_basis.end(), "key lacks modulus ", basis[l]);
+        const u32 kl = static_cast<u32>(it - key_basis.begin());
+        std::vector<const u64 *> d(beta), kb(beta), ka(beta);
+        for (u32 j = 0; j < beta; ++j) {
+            d[j] = digits[j].limb(static_cast<u32>(l)).data();
+            kb[j] = key.b[j].limb(kl).data();
+            ka[j] = key.a[j].limb(kl).data();
+        }
+        const Modulus &m = ctx_->mod(basis[l]);
+        const kernels::BarrettView q{m.value(), m.barrettLo(),
+                                     m.barrettHi()};
+        kt.kskInnerProd(acc_b.limb(static_cast<u32>(l)).data(),
+                        acc_a.limb(static_cast<u32>(l)).data(), d.data(),
+                        kb.data(), ka.data(), beta, ctx_->n(), q);
     });
-    // Digit 0 seeds the accumulators directly (adding into a fresh
-    // zero poly is the identity), later digits accumulate in order.
-    RnsPoly acc_b = std::move(parts_b[0]);
-    RnsPoly acc_a = std::move(digits[0]);
-    for (u32 j = 1; j < beta; ++j) {
-        acc_b.addInplace(parts_b[j]);
-        acc_a.addInplace(digits[j]);
-    }
     return {std::move(acc_b), std::move(acc_a)};
 }
 
@@ -271,14 +281,16 @@ Evaluator::hoistedRotate(const Ciphertext &ct,
 {
     const u64 g = galoisElementForRotation(r, ctx_->n());
     const u32 beta = static_cast<u32>(digits.size());
-    // ψ commutes with ModUp bit-for-bit (BConv is exact on [0, M)
-    // representatives), so permuting the hoisted digits replaces the
-    // per-rotation Decomp + ModUp entirely.
+    // Permuting the hoisted digits replaces the per-rotation Decomp +
+    // ModUp. ψ does not commute with ModUp bit for bit (ψ flips signs and
+    // the BConv of a canonical representative is not odd-symmetric), so
+    // the extended limbs differ from the eager path by multiples of the
+    // digit modulus, which key-switch noise absorbs.
     std::vector<RnsPoly> rotated(beta);
     parallelFor(0, beta, [&](u64 j) {
         rotated[j] = applyAutomorphism(digits[j], g);
     });
-    auto [ip_b, ip_a] = hoistedInnerProd(std::move(rotated), rk);
+    auto [ip_b, ip_a] = hoistedInnerProd(rotated, rk);
     auto [ks_b, ks_a] = modDownEvalPair(*ctx_, ip_b, ip_a, ct.level);
 
     Ciphertext out;

@@ -114,11 +114,13 @@ class Evaluator
      * over qpBasis(level) in Eval rep, WITHOUT the final ModDown — the
      * caller either finishes with modDownEvalPair() or keeps accumulating
      * more inner products in the extended basis (the triple-hoisted
-     * giant-step accumulation). Consumes @p digits: each slab is
-     * multiplied by its a-key row in place.
+     * giant-step accumulation). Output-stationary: per limb, one fused
+     * kernel sums all β digit × key-row products in 128 bits and
+     * reduces once; the digits and the key are read in place.
      */
-    std::pair<RnsPoly, RnsPoly> hoistedInnerProd(std::vector<RnsPoly> digits,
-                                                 const KswKey &key) const;
+    std::pair<RnsPoly, RnsPoly>
+    hoistedInnerProd(const std::vector<RnsPoly> &digits,
+                     const KswKey &key) const;
 
     /**
      * HRot by @p r from hoisted digits of ct.a: the NTT-domain

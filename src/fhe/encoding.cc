@@ -86,23 +86,48 @@ Encoder::decode(const Plaintext &pt) const
     if (poly.rep() == Rep::Eval)
         poly.toCoeff();
 
+    // CRT constants, once per call: M, every M/m_i and the Shoup form of
+    // (M/m_i)^{-1} mod m_i. Each coefficient is then
+    //   x = Σ_i [x_i·(M/m_i)^{-1} mod m_i]·(M/m_i) mod M,
+    // the sum RnsPoly::reconstructCoeff forms, so the values are equal.
+    const u32 limbs = poly.limbCount();
+    std::vector<u64> mods(limbs);
+    for (u32 i = 0; i < limbs; ++i)
+        mods[i] = poly.mod(i).value();
+    const BigUInt big_q = productOf(mods);
+    std::vector<BigUInt> mhat(limbs);
+    std::vector<ShoupMul> mhat_inv(limbs);
+    for (u32 i = 0; i < limbs; ++i) {
+        std::vector<u64> others;
+        for (u32 k = 0; k < limbs; ++k)
+            if (k != i)
+                others.push_back(mods[k]);
+        mhat[i] = productOf(others);
+        const Modulus &m = poly.mod(i);
+        mhat_inv[i] = ShoupMul(m.inv(mhat[i].modSmall(mods[i])), m);
+    }
+
     // CRT-reconstruct and center each coefficient.
-    BigUInt big_q = ctx_->bigQ(pt.level);
-    BigUInt half_q = big_q.half();
+    const BigUInt half_q = big_q.half();
     const u64 n = ctx_->n();
     const u64 half = n / 2;
     std::vector<Cplx> vals(half);
     std::vector<double> coeffs(n);
-    for (u64 i = 0; i < n; ++i) {
-        BigUInt c = poly.reconstructCoeff(i);
-        if (half_q < c) {
+    for (u64 c = 0; c < n; ++c) {
+        BigUInt x(0);
+        for (u32 i = 0; i < limbs; ++i)
+            x.addMulSmall(mhat[i], mhat_inv[i].mul(poly.limb(i)[c], mods[i]));
+        // x < limbs·M; reduce.
+        while (!(x < big_q))
+            x.subInplace(big_q);
+        if (half_q < x) {
             BigUInt neg = big_q;
-            neg.subInplace(c);
-            coeffs[i] = -neg.toDouble();
+            neg.subInplace(x);
+            coeffs[c] = -neg.toDouble();
         } else {
-            coeffs[i] = c.toDouble();
+            coeffs[c] = x.toDouble();
         }
-        coeffs[i] /= pt.scale;
+        coeffs[c] /= pt.scale;
     }
     for (u64 j = 0; j < half; ++j)
         vals[j] = Cplx(coeffs[j], coeffs[j + half]);

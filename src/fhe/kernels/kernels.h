@@ -6,9 +6,9 @@
  * Vectorized lazy-reduction kernel layer (DESIGN.md §10).
  *
  * Every hot loop of the functional CKKS library — NTT butterflies,
- * element-wise limb ops, the BConv inner product, automorphism gathers —
- * funnels through this table of function pointers. Three backends
- * implement the table:
+ * element-wise limb ops, the BConv and key-switch inner products,
+ * automorphism gathers — funnels through this table of function
+ * pointers. Three backends implement the table:
  *
  *   - scalar:  portable C++, Harvey lazy reduction, always available;
  *   - avx2:    4-wide 256-bit kernels (64x64 multiplies assembled from
@@ -118,6 +118,19 @@ struct KernelTable
     void (*bconvOut)(u64 *out, const u64 *xhat, u64 xhatStride, u64 m,
                      u64 cnt, const u64 *w, const double *vest, u64 mModT,
                      const BarrettView &q);
+
+    /**
+     * Key-switch inner product (KSKInP) of one limb, output-stationary:
+     * for each coefficient c,
+     *   accB[c] = (Σ_j d[j][c]·kb[j][c]) mod q
+     *   accA[c] = (Σ_j d[j][c]·ka[j][c]) mod q
+     * over the beta digit rows, each sum held in 128 bits and reduced
+     * once. Requires beta < 256 so β·q² < 2^128; equal to a Barrett
+     * multiply per digit followed by digit-order addMod.
+     */
+    void (*kskInnerProd)(u64 *accB, u64 *accA, const u64 *const *d,
+                         const u64 *const *kb, const u64 *const *ka,
+                         u64 beta, u64 n, const BarrettView &q);
 
     // -- Batched entries (capability/fallback contract) -----------------
     //

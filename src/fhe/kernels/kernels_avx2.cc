@@ -40,6 +40,22 @@ shoupMulLazyS(u64 a, u64 w, u64 wShoup, u64 q)
     return a * w - mulHi64(a, wShoup) * q;
 }
 
+/** Scalar two-word Barrett reduction of a 128-bit value (SIMD loop tails). */
+inline u64
+barrettReduceS(u128 x, const BarrettView &q)
+{
+    u64 xlo = static_cast<u64>(x);
+    u64 xhi = static_cast<u64>(x >> 64);
+    u64 carry = mulHi64(xlo, q.lo);
+    u128 mid = static_cast<u128>(xlo) * q.hi +
+               static_cast<u128>(xhi) * q.lo + carry;
+    u64 quot = static_cast<u64>(mid >> 64) + xhi * q.hi;
+    u64 r = xlo - quot * q.q;
+    while (r >= q.q)
+        r -= q.q;
+    return r;
+}
+
 /** Low 64 bits of the 4 lane-wise 64x64 products. */
 inline __m256i
 mulLo64(__m256i x, __m256i y)
@@ -116,6 +132,17 @@ ltU64(__m256i a, __m256i b)
         static_cast<long long>(0x8000000000000000ull));
     return _mm256_cmpgt_epi64(_mm256_xor_si256(b, flip),
                               _mm256_xor_si256(a, flip));
+}
+
+/** (hi:lo) += x·y per lane, a 128-bit accumulate. */
+inline void
+mulAcc128(__m256i &hi, __m256i &lo, __m256i x, __m256i y)
+{
+    __m256i phi, plo;
+    mulWide64(x, y, phi, plo);
+    lo = _mm256_add_epi64(lo, plo);
+    __m256i carry = ltU64(lo, plo);  // all-ones where the add wrapped
+    hi = _mm256_sub_epi64(_mm256_add_epi64(hi, phi), carry);
 }
 
 /** Shoup lazy product in [0,2q) per lane; any a, w < q. */
@@ -334,19 +361,8 @@ mulModBarrettAvx2(u64 *dst, const u64 *src, u64 n, const BarrettView &q)
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i),
                             barrettMulV(a, c, b));
     }
-    for (; i < n; ++i) {
-        u128 x = static_cast<u128>(dst[i]) * src[i];
-        u64 xlo = static_cast<u64>(x);
-        u64 xhi = static_cast<u64>(x >> 64);
-        u64 carry = mulHi64(xlo, q.lo);
-        u128 mid = static_cast<u128>(xlo) * q.hi +
-                   static_cast<u128>(xhi) * q.lo + carry;
-        u64 quot = static_cast<u64>(mid >> 64) + xhi * q.hi;
-        u64 r = xlo - quot * q.q;
-        while (r >= q.q)
-            r -= q.q;
-        dst[i] = r;
-    }
+    for (; i < n; ++i)
+        dst[i] = barrettReduceS(static_cast<u128>(dst[i]) * src[i], q);
 }
 
 void
@@ -474,14 +490,8 @@ bconvOutAvx2(u64 *out, const u64 *xhat, u64 xhatStride, u64 m, u64 cnt,
             __m256i x = _mm256_loadu_si256(
                 reinterpret_cast<const __m256i *>(xhat + i * xhatStride +
                                                   c));
-            __m256i vw = _mm256_set1_epi64x(static_cast<long long>(w[i]));
-            __m256i plo, phi;
-            mulWide64(x, vw, phi, plo);
-            __m256i s = _mm256_add_epi64(accLo, plo);
-            __m256i carry = ltU64(s, plo);
-            accLo = s;
-            accHi = _mm256_add_epi64(accHi, phi);
-            accHi = _mm256_sub_epi64(accHi, carry);
+            mulAcc128(accHi, accLo, x,
+                      _mm256_set1_epi64x(static_cast<long long>(w[i])));
         }
         __m256i sres = barrettReduceV(accHi, accLo, b);
         // v = trunc(vest); v < m <= 255 so a 32-bit convert suffices.
@@ -497,27 +507,49 @@ bconvOutAvx2(u64 *out, const u64 *xhat, u64 xhatStride, u64 m, u64 cnt,
         u128 acc = 0;
         for (u64 i = 0; i < m; ++i)
             acc += static_cast<u128>(xhat[i * xhatStride + c]) * w[i];
-        u64 xlo = static_cast<u64>(acc);
-        u64 xhi = static_cast<u64>(acc >> 64);
-        u64 carry = mulHi64(xlo, q.lo);
-        u128 mid = static_cast<u128>(xlo) * q.hi +
-                   static_cast<u128>(xhi) * q.lo + carry;
-        u64 quot = static_cast<u64>(mid >> 64) + xhi * q.hi;
-        u64 s = xlo - quot * q.q;
-        while (s >= q.q)
-            s -= q.q;
+        u64 s = barrettReduceS(acc, q);
         u64 v = static_cast<u64>(vest[c]);
-        u128 cx = static_cast<u128>(v) * mModT;
-        u64 cxlo = static_cast<u64>(cx);
-        u64 cxhi = static_cast<u64>(cx >> 64);
-        u64 ccarry = mulHi64(cxlo, q.lo);
-        u128 cmid = static_cast<u128>(cxlo) * q.hi +
-                    static_cast<u128>(cxhi) * q.lo + ccarry;
-        u64 cquot = static_cast<u64>(cmid >> 64) + cxhi * q.hi;
-        u64 corr = cxlo - cquot * q.q;
-        while (corr >= q.q)
-            corr -= q.q;
+        u64 corr = barrettReduceS(static_cast<u128>(v) * mModT, q);
         out[c] = s >= corr ? s - corr : s + q.q - corr;
+    }
+}
+
+void
+kskInnerProdAvx2(u64 *accB, u64 *accA, const u64 *const *d,
+                 const u64 *const *kb, const u64 *const *ka, u64 beta, u64 n,
+                 const BarrettView &q)
+{
+    const BarrettV b = broadcastBarrett(q);
+    u64 c = 0;
+    for (; c + 4 <= n; c += 4) {
+        __m256i bLo = _mm256_setzero_si256();
+        __m256i bHi = _mm256_setzero_si256();
+        __m256i aLo = _mm256_setzero_si256();
+        __m256i aHi = _mm256_setzero_si256();
+        for (u64 j = 0; j < beta; ++j) {
+            __m256i x = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(d[j] + c));
+            mulAcc128(bHi, bLo, x,
+                      _mm256_loadu_si256(
+                          reinterpret_cast<const __m256i *>(kb[j] + c)));
+            mulAcc128(aHi, aLo, x,
+                      _mm256_loadu_si256(
+                          reinterpret_cast<const __m256i *>(ka[j] + c)));
+        }
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(accB + c),
+                            barrettReduceV(bHi, bLo, b));
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(accA + c),
+                            barrettReduceV(aHi, aLo, b));
+    }
+    for (; c < n; ++c) {
+        u128 sb = 0;
+        u128 sa = 0;
+        for (u64 j = 0; j < beta; ++j) {
+            sb += static_cast<u128>(d[j][c]) * kb[j][c];
+            sa += static_cast<u128>(d[j][c]) * ka[j][c];
+        }
+        accB[c] = barrettReduceS(sb, q);
+        accA[c] = barrettReduceS(sa, q);
     }
 }
 
@@ -530,7 +562,7 @@ avx2Table()
         "avx2",        fwdNttAvx2,        invNttAvx2,
         addModAvx2,    subModAvx2,        negModAvx2,
         mulModBarrettAvx2, mulScalarShoupAvx2, gatherAvx2,
-        bconvXhatAvx2, bconvOutAvx2,
+        bconvXhatAvx2, bconvOutAvx2,     kskInnerProdAvx2,
         fwdNttAvx2Batch, invNttAvx2Batch,
     };
     return tbl;

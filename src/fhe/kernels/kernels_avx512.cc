@@ -35,6 +35,22 @@ shoupMulLazyS(u64 a, u64 w, u64 wShoup, u64 q)
     return a * w - mulHi64(a, wShoup) * q;
 }
 
+/** Scalar two-word Barrett reduction of a 128-bit value (SIMD loop tails). */
+inline u64
+barrettReduceS(u128 x, const BarrettView &q)
+{
+    u64 xlo = static_cast<u64>(x);
+    u64 xhi = static_cast<u64>(x >> 64);
+    u64 carry = mulHi64(xlo, q.lo);
+    u128 mid = static_cast<u128>(xlo) * q.hi +
+               static_cast<u128>(xhi) * q.lo + carry;
+    u64 quot = static_cast<u64>(mid >> 64) + xhi * q.hi;
+    u64 r = xlo - quot * q.q;
+    while (r >= q.q)
+        r -= q.q;
+    return r;
+}
+
 /** High 64 bits of the 8 lane-wise 64x64 products. */
 inline __m512i
 mulHi64v(__m512i x, __m512i y)
@@ -51,6 +67,41 @@ mulHi64v(__m512i x, __m512i y)
     return _mm512_add_epi64(
         hihi, _mm512_add_epi64(_mm512_srli_epi64(mid, 32),
                                _mm512_srli_epi64(mid2, 32)));
+}
+
+/**
+ * Both halves of the 8 lane-wise 64x64 products from one set of four
+ * vpmuludq partials (cheaper than vpmullq plus a separate mulHi64v).
+ */
+inline void
+mulWide64v(__m512i x, __m512i y, __m512i &hi, __m512i &lo)
+{
+    const __m512i mask32 = _mm512_set1_epi64(0xffffffff);
+    __m512i x1 = _mm512_srli_epi64(x, 32);
+    __m512i y1 = _mm512_srli_epi64(y, 32);
+    __m512i lolo = _mm512_mul_epu32(x, y);
+    __m512i hilo = _mm512_mul_epu32(x1, y);
+    __m512i lohi = _mm512_mul_epu32(x, y1);
+    __m512i hihi = _mm512_mul_epu32(x1, y1);
+    __m512i mid = _mm512_add_epi64(hilo, _mm512_srli_epi64(lolo, 32));
+    __m512i mid2 = _mm512_add_epi64(lohi, _mm512_and_si512(mid, mask32));
+    hi = _mm512_add_epi64(
+        hihi, _mm512_add_epi64(_mm512_srli_epi64(mid, 32),
+                               _mm512_srli_epi64(mid2, 32)));
+    lo = _mm512_add_epi64(_mm512_slli_epi64(mid2, 32),
+                          _mm512_and_si512(lolo, mask32));
+}
+
+/** (hi:lo) += x·y per lane, a 128-bit accumulate. */
+inline void
+mulAcc128(__m512i &hi, __m512i &lo, __m512i x, __m512i y)
+{
+    __m512i phi, plo;
+    mulWide64v(x, y, phi, plo);
+    lo = _mm512_add_epi64(lo, plo);
+    __mmask8 carry = _mm512_cmplt_epu64_mask(lo, plo);
+    hi = _mm512_add_epi64(hi, phi);
+    hi = _mm512_mask_add_epi64(hi, carry, hi, _mm512_set1_epi64(1));
 }
 
 /** x - (x >= bound ? bound : 0), full unsigned range via mask compare. */
@@ -357,19 +408,8 @@ mulModBarrettAvx512(u64 *dst, const u64 *src, u64 n, const BarrettView &q)
         __m512i c = _mm512_loadu_si512(src + i);
         _mm512_storeu_si512(dst + i, barrettMulV(a, c, b));
     }
-    for (; i < n; ++i) {
-        u128 x = static_cast<u128>(dst[i]) * src[i];
-        u64 xlo = static_cast<u64>(x);
-        u64 xhi = static_cast<u64>(x >> 64);
-        u64 carry = mulHi64(xlo, q.lo);
-        u128 mid = static_cast<u128>(xlo) * q.hi +
-                   static_cast<u128>(xhi) * q.lo + carry;
-        u64 quot = static_cast<u64>(mid >> 64) + xhi * q.hi;
-        u64 r = xlo - quot * q.q;
-        while (r >= q.q)
-            r -= q.q;
-        dst[i] = r;
-    }
+    for (; i < n; ++i)
+        dst[i] = barrettReduceS(static_cast<u128>(dst[i]) * src[i], q);
 }
 
 void
@@ -446,7 +486,6 @@ bconvOutAvx512(u64 *out, const u64 *xhat, u64 xhatStride, u64 m, u64 cnt,
                const BarrettView &q)
 {
     const BarrettV b = broadcastBarrett(q);
-    const __m512i one = _mm512_set1_epi64(1);
     const __m512i vmmod = _mm512_set1_epi64(static_cast<long long>(mModT));
     u64 c = 0;
     for (; c + 8 <= cnt; c += 8) {
@@ -454,14 +493,8 @@ bconvOutAvx512(u64 *out, const u64 *xhat, u64 xhatStride, u64 m, u64 cnt,
         __m512i accHi = _mm512_setzero_si512();
         for (u64 i = 0; i < m; ++i) {
             __m512i x = _mm512_loadu_si512(xhat + i * xhatStride + c);
-            __m512i vw = _mm512_set1_epi64(static_cast<long long>(w[i]));
-            __m512i plo = _mm512_mullo_epi64(x, vw);
-            __m512i phi = mulHi64v(x, vw);
-            __m512i s = _mm512_add_epi64(accLo, plo);
-            __mmask8 carry = _mm512_cmplt_epu64_mask(s, plo);
-            accLo = s;
-            accHi = _mm512_add_epi64(accHi, phi);
-            accHi = _mm512_mask_add_epi64(accHi, carry, accHi, one);
+            mulAcc128(accHi, accLo, x,
+                      _mm512_set1_epi64(static_cast<long long>(w[i])));
         }
         __m512i sres = barrettReduceV(accHi, accLo, b);
         __m512i v = _mm512_cvttpd_epu64(_mm512_loadu_pd(vest + c));
@@ -474,27 +507,42 @@ bconvOutAvx512(u64 *out, const u64 *xhat, u64 xhatStride, u64 m, u64 cnt,
         u128 acc = 0;
         for (u64 i = 0; i < m; ++i)
             acc += static_cast<u128>(xhat[i * xhatStride + c]) * w[i];
-        u64 xlo = static_cast<u64>(acc);
-        u64 xhi = static_cast<u64>(acc >> 64);
-        u64 carry = mulHi64(xlo, q.lo);
-        u128 mid = static_cast<u128>(xlo) * q.hi +
-                   static_cast<u128>(xhi) * q.lo + carry;
-        u64 quot = static_cast<u64>(mid >> 64) + xhi * q.hi;
-        u64 s = xlo - quot * q.q;
-        while (s >= q.q)
-            s -= q.q;
+        u64 s = barrettReduceS(acc, q);
         u64 v = static_cast<u64>(vest[c]);
-        u128 cx = static_cast<u128>(v) * mModT;
-        u64 cxlo = static_cast<u64>(cx);
-        u64 cxhi = static_cast<u64>(cx >> 64);
-        u64 ccarry = mulHi64(cxlo, q.lo);
-        u128 cmid = static_cast<u128>(cxlo) * q.hi +
-                    static_cast<u128>(cxhi) * q.lo + ccarry;
-        u64 cquot = static_cast<u64>(cmid >> 64) + cxhi * q.hi;
-        u64 corr = cxlo - cquot * q.q;
-        while (corr >= q.q)
-            corr -= q.q;
+        u64 corr = barrettReduceS(static_cast<u128>(v) * mModT, q);
         out[c] = s >= corr ? s - corr : s + q.q - corr;
+    }
+}
+
+void
+kskInnerProdAvx512(u64 *accB, u64 *accA, const u64 *const *d,
+                   const u64 *const *kb, const u64 *const *ka, u64 beta,
+                   u64 n, const BarrettView &q)
+{
+    const BarrettV b = broadcastBarrett(q);
+    u64 c = 0;
+    for (; c + 8 <= n; c += 8) {
+        __m512i bLo = _mm512_setzero_si512();
+        __m512i bHi = _mm512_setzero_si512();
+        __m512i aLo = _mm512_setzero_si512();
+        __m512i aHi = _mm512_setzero_si512();
+        for (u64 j = 0; j < beta; ++j) {
+            __m512i x = _mm512_loadu_si512(d[j] + c);
+            mulAcc128(bHi, bLo, x, _mm512_loadu_si512(kb[j] + c));
+            mulAcc128(aHi, aLo, x, _mm512_loadu_si512(ka[j] + c));
+        }
+        _mm512_storeu_si512(accB + c, barrettReduceV(bHi, bLo, b));
+        _mm512_storeu_si512(accA + c, barrettReduceV(aHi, aLo, b));
+    }
+    for (; c < n; ++c) {
+        u128 sb = 0;
+        u128 sa = 0;
+        for (u64 j = 0; j < beta; ++j) {
+            sb += static_cast<u128>(d[j][c]) * kb[j][c];
+            sa += static_cast<u128>(d[j][c]) * ka[j][c];
+        }
+        accB[c] = barrettReduceS(sb, q);
+        accA[c] = barrettReduceS(sa, q);
     }
 }
 
@@ -507,7 +555,7 @@ avx512Table()
         "avx512",        fwdNttAvx512,        invNttAvx512,
         addModAvx512,    subModAvx512,        negModAvx512,
         mulModBarrettAvx512, mulScalarShoupAvx512, gatherAvx512,
-        bconvXhatAvx512, bconvOutAvx512,
+        bconvXhatAvx512, bconvOutAvx512,     kskInnerProdAvx512,
         fwdNttAvx512Batch, invNttAvx512Batch,
     };
     return tbl;

@@ -282,6 +282,26 @@ bconvOutScalar(u64 *out, const u64 *xhat, u64 xhatStride, u64 m, u64 cnt,
     }
 }
 
+void
+kskInnerProdScalar(u64 *accB, u64 *accA, const u64 *const *d,
+                   const u64 *const *kb, const u64 *const *ka, u64 beta,
+                   u64 n, const BarrettView &q)
+{
+    for (u64 c = 0; c < n; ++c) {
+        u128 sb = 0;
+        u128 sa = 0;
+        for (u64 j = 0; j < beta; ++j) {
+            const u128 x = d[j][c];
+            sb += x * kb[j][c];
+            sa += x * ka[j][c];
+        }
+        accB[c] = barrettReduce(static_cast<u64>(sb >> 64),
+                                static_cast<u64>(sb), q);
+        accA[c] = barrettReduce(static_cast<u64>(sa >> 64),
+                                static_cast<u64>(sa), q);
+    }
+}
+
 }  // namespace
 
 void
@@ -351,7 +371,7 @@ scalarTable()
         "scalar",        fwdNttScalar,        invNttScalar,
         addModScalar,    subModScalar,        negModScalar,
         mulModBarrettScalar, mulScalarShoupScalar, gatherScalar,
-        bconvXhatScalar, bconvOutScalar,
+        bconvXhatScalar, bconvOutScalar,     kskInnerProdScalar,
         fwdNttScalarBatch, invNttScalarBatch,
     };
     return tbl;

@@ -204,26 +204,6 @@ RnsPoly::mulEwInplace(const RnsPoly &other)
 }
 
 void
-RnsPoly::mulEwRestricted(const RnsPoly &other)
-{
-    CROPHE_ASSERT(rep_ == Rep::Eval && other.rep_ == Rep::Eval,
-                  "element-wise multiply requires Eval representation");
-    std::vector<u32> map(limbCount());
-    for (u32 i = 0; i < limbCount(); ++i) {
-        auto it = std::find(other.basis_.begin(), other.basis_.end(),
-                            basis_[i]);
-        CROPHE_ASSERT(it != other.basis_.end(),
-                      "operand basis is not a superset in mul");
-        map[i] = static_cast<u32>(it - other.basis_.begin());
-    }
-    const auto &kt = kernels::table();
-    parallelFor(0, limbCount(), [&](u64 i) {
-        kernels::BarrettView b = barrettView(mod(i));
-        kt.mulModBarrett(limb(i).data(), other.limb(map[i]).data(), n(), b);
-    });
-}
-
-void
 RnsPoly::mulScalarInplace(const std::vector<u64> &scalar_per_limb)
 {
     CROPHE_ASSERT(scalar_per_limb.size() == limbCount(),

@@ -196,15 +196,6 @@ class RnsPoly
     void negateInplace();
     /** this *= other element-wise; both must be in Eval representation. */
     void mulEwInplace(const RnsPoly &other);
-    /**
-     * Element-wise multiply by the matching limbs of @p other, whose
-     * basis may be any superset of ours (each of our global moduli is
-     * looked up in other's basis). Lets key-switch multiply a digit
-     * product by the key's rows in place instead of materializing a
-     * restrictedTo() copy of the key; row-for-row identical to
-     * `mulEwInplace(other.restrictedTo(basis()))`.
-     */
-    void mulEwRestricted(const RnsPoly &other);
     /** Multiply limb i by scalar (already reduced mod that limb). */
     void mulScalarInplace(const std::vector<u64> &scalar_per_limb);
     /** Multiply every limb by the same small integer constant. */

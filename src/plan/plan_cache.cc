@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -204,11 +205,15 @@ PlanCache::writeToDisk(const PlanKey &key, const std::vector<u8> &payload)
     appendU64(file, fnv1a(payload));
 
     // Temp-then-rename so a concurrent reader (or a crash) never sees a
-    // half-written entry. The temp name is per-process; two processes
-    // racing on the same key both write valid identical content.
+    // half-written entry. The temp name is unique per writer (pid plus a
+    // process-wide counter), so two threads or processes racing on the
+    // same key each rename their own complete file; both carry valid
+    // identical content.
+    static std::atomic<u64> writer_seq{0};
     const std::string path = filePath(key);
     const std::string tmp =
-        path + ".tmp." + std::to_string(static_cast<u64>(::getpid()));
+        path + ".tmp." + std::to_string(static_cast<u64>(::getpid())) + "." +
+        std::to_string(writer_seq.fetch_add(1, std::memory_order_relaxed));
     {
         std::ofstream outf(tmp, std::ios::binary | std::ios::trunc);
         if (!outf)

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.h"
+#include "fhe/biguint.h"
+#include "fhe/cfft.h"
 #include "fhe/encoding.h"
 #include "tests/fhe/test_util.h"
 
@@ -94,6 +97,65 @@ TEST(Encoder, ScaleIsRespected)
     Plaintext big = enc.encodeReal(v, 1, 1ull << 40);
     EXPECT_NEAR(enc.decode(small)[0].real(), 0.5, 1e-4);
     EXPECT_NEAR(enc.decode(big)[0].real(), 0.5, 1e-10);
+}
+
+/**
+ * decode() with the per-coefficient CRT path: RnsPoly::reconstructCoeff
+ * recomputes M, every M/m_i and each inverse for every coefficient.
+ */
+std::vector<Cplx>
+decodePerCoefficient(const FheContext &ctx, const Plaintext &pt)
+{
+    RnsPoly poly = pt.poly;
+    if (poly.rep() == Rep::Eval)
+        poly.toCoeff();
+    BigUInt big_q = ctx.bigQ(pt.level);
+    BigUInt half_q = big_q.half();
+    const u64 n = ctx.n();
+    std::vector<double> coeffs(n);
+    for (u64 i = 0; i < n; ++i) {
+        BigUInt c = poly.reconstructCoeff(i);
+        if (half_q < c) {
+            BigUInt neg = big_q;
+            neg.subInplace(c);
+            coeffs[i] = -neg.toDouble();
+        } else {
+            coeffs[i] = c.toDouble();
+        }
+        coeffs[i] /= pt.scale;
+    }
+    std::vector<Cplx> vals(n / 2);
+    for (u64 j = 0; j < n / 2; ++j)
+        vals[j] = Cplx(coeffs[j], coeffs[j + n / 2]);
+    SpecialFft(n).embed(vals);
+    return vals;
+}
+
+TEST(Encoder, DecodeMatchesPerCoefficientCrtBitForBit)
+{
+    const FheContext &ctx = smallContext();
+    Encoder enc(ctx);
+    Rng rng(73);
+    std::vector<Cplx> z(enc.slots());
+    for (auto &v : z)
+        v = Cplx(rng.nextDouble() * 2 - 1, rng.nextDouble() * 2 - 1);
+
+    for (u32 level = 0; level <= ctx.maxLevel(); ++level) {
+        // An encoded plaintext, and one with uniform residues (every
+        // coefficient wide, half of them centered to negatives).
+        Plaintext encoded = enc.encode(z, level);
+        Plaintext uniform = encoded;
+        uniform.poly.uniformRandom(rng);
+        for (const Plaintext *pt : {&encoded, &uniform}) {
+            auto got = enc.decode(*pt);
+            auto want = decodePerCoefficient(ctx, *pt);
+            ASSERT_EQ(got.size(), want.size());
+            EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                  got.size() * sizeof(Cplx)),
+                      0)
+                << "level " << level;
+        }
+    }
 }
 
 }  // namespace

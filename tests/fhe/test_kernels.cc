@@ -206,6 +206,86 @@ TEST(KernelElementwise, EdgeResiduesZeroAndQMinusOne)
 }
 
 // ---------------------------------------------------------------------------
+// Fused key-switch inner product: every backend vs a Barrett multiply per
+// digit followed by digit-order addMod, up to the largest digit count the
+// 128-bit sums allow, with a modulus just below 2^60.
+// ---------------------------------------------------------------------------
+
+TEST(KernelElementwise, KskInnerProdMatchesBarrettMulThenAddMod)
+{
+    Rng rng(9012);
+    const u64 n = 1003;  // odd: exercises the scalar tail of SIMD loops
+    const u64 q = (u64(1) << 60) - 93;  // the largest prime below 2^60
+    Modulus mod(q);
+    kernels::BarrettView bv{q, mod.barrettLo(), mod.barrettHi()};
+
+    for (u64 beta : {1u, 2u, 5u, 17u, 255u}) {
+        for (bool worst : {false, true}) {
+            // worst: every residue q-1, the largest sum the kernel holds.
+            auto row = [&] {
+                return worst ? std::vector<u64>(n, q - 1)
+                             : randomCanonical(rng, n, q);
+            };
+            std::vector<std::vector<u64>> d(beta), kb(beta), ka(beta);
+            std::vector<const u64 *> dp(beta), kbp(beta), kap(beta);
+            for (u64 j = 0; j < beta; ++j) {
+                d[j] = row();
+                kb[j] = row();
+                ka[j] = row();
+                dp[j] = d[j].data();
+                kbp[j] = kb[j].data();
+                kap[j] = ka[j].data();
+            }
+            for (kernels::Backend back : availableBackends()) {
+                const kernels::KernelTable &kt = tableFor(back);
+                std::vector<u64> want_b(n, 0), want_a(n, 0);
+                for (u64 j = 0; j < beta; ++j) {
+                    std::vector<u64> pb = d[j], pa = d[j];
+                    kt.mulModBarrett(pb.data(), kb[j].data(), n, bv);
+                    kt.mulModBarrett(pa.data(), ka[j].data(), n, bv);
+                    kt.addMod(want_b.data(), pb.data(), n, q);
+                    kt.addMod(want_a.data(), pa.data(), n, q);
+                }
+                std::vector<u64> got_b(n), got_a(n);
+                kt.kskInnerProd(got_b.data(), got_a.data(), dp.data(),
+                                kbp.data(), kap.data(), beta, n, bv);
+                EXPECT_EQ(got_b, want_b)
+                    << kt.name << " beta=" << beta << " worst=" << worst;
+                EXPECT_EQ(got_a, want_a)
+                    << kt.name << " beta=" << beta << " worst=" << worst;
+            }
+        }
+    }
+}
+
+TEST(KernelElementwise, BconvOutTailMatchesScalarAcrossBackends)
+{
+    // An odd tile width runs the SIMD backends' scalar tail loops.
+    Rng rng(9013);
+    const u64 m = 5, cnt = 1003;
+    const u64 q = generateNttPrimes(59, 1 << 10, 1)[0];
+    Modulus mod(q);
+    kernels::BarrettView bv{q, mod.barrettLo(), mod.barrettHi()};
+    std::vector<u64> xhat = randomCanonical(rng, m * cnt, q);
+    std::vector<u64> w = randomCanonical(rng, m, q);
+    std::vector<double> vest(cnt);
+    for (auto &v : vest)
+        v = rng.nextDouble() * m;
+    const u64 m_mod_t = rng.nextBounded(q);
+
+    std::vector<u64> want(cnt);
+    kernels::scalarTable().bconvOut(want.data(), xhat.data(), cnt, m, cnt,
+                                    w.data(), vest.data(), m_mod_t, bv);
+    for (kernels::Backend back : availableBackends()) {
+        const kernels::KernelTable &kt = tableFor(back);
+        std::vector<u64> got(cnt);
+        kt.bconvOut(got.data(), xhat.data(), cnt, m, cnt, w.data(),
+                    vest.data(), m_mod_t, bv);
+        EXPECT_EQ(got, want) << kt.name;
+    }
+}
+
+// ---------------------------------------------------------------------------
 // BConv / ModUp / ModDown / key-switch: backends must be limb-for-limb
 // identical through the full composite paths, at 1, 2 and 8 threads.
 // ---------------------------------------------------------------------------

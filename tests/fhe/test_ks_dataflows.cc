@@ -6,9 +6,11 @@
  * across levels, digit counts, backends and thread counts, and both must
  * land on a pinned golden limb-trace hash; hoistedRotate() must match an
  * unfused-primitive oracle bit-for-bit and decrypt like rotate(); the
- * triple-hoisted matvec must match a same-math oracle bit-for-bit and
- * decrypt to the reference within rounding noise. Suites carry the
- * Kernel prefix so the CI sanitizer job's gtest filter picks them up.
+ * triple-hoisted and Hybrid matvecs must match same-math oracles
+ * bit-for-bit and decrypt to the reference within rounding noise; and
+ * babySteps() must perform exactly the Decomp/ModUps babyStepCost()
+ * charges. Suites carry the Kernel prefix so the CI sanitizer job's
+ * gtest filter picks them up.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +24,7 @@
 #include "fhe/bsgs.h"
 #include "fhe/ckks.h"
 #include "fhe/kernels/kernels.h"
+#include "fhe/ntt.h"
 #include "tests/fhe/test_util.h"
 
 namespace crophe::fhe {
@@ -423,6 +426,179 @@ TEST(KernelTripleHoistedBsgs, MatVecMatchesSameMathOracleBitForBit)
         s.eval.encoder().decode(s.eval.decrypt(want, s.keygen.secretKey()));
     for (u64 i = 0; i < dim; ++i)
         EXPECT_NEAR(got_dec[i].real(), expect[i], 5e-2) << "slot " << i;
+}
+
+// ---------------------------------------------------------------------------
+// The library agrees with the model: babySteps performs exactly
+// babyStepCost().modUpDown Decomp/ModUps, counted in NTT limb transforms.
+// ---------------------------------------------------------------------------
+
+TEST(KernelHoistedBabySteps, ModUpCountMatchesBabyStepCost)
+{
+    auto &s = bsgsState();
+    const u32 level = 3;
+    const u64 slots = s.ctx.n() / 2;
+    std::vector<double> v(slots);
+    for (u64 i = 0; i < v.size(); ++i)
+        v[i] = (i % 7) * 0.1 - 0.3;
+    auto ct = s.eval.encrypt(s.eval.encoder().encodeReal(v, level), s.pk);
+
+    // A superset of every key the sweep below needs.
+    const u32 max_n1 = 8;
+    BsgsKeys keys;
+    for (i64 r = 1; r <= max_n1; ++r)
+        keys.rot.emplace(r, s.keygen.makeRotationKey(r));
+
+    // Transforms of one Decomp/ModUp and of one ModDown at this level;
+    // an eager rotation is exactly one of each.
+    u64 t0 = nttLimbTransforms();
+    auto digits = s.eval.hoistedDecompModUp(ct.a, level);
+    const u64 per_mod_up = nttLimbTransforms() - t0;
+    auto [ip_b, ip_a] = s.eval.hoistedInnerProd(digits, keys.rot.at(1));
+    t0 = nttLimbTransforms();
+    modDownEvalPair(s.ctx, ip_b, ip_a, level);
+    const u64 per_mod_down = nttLimbTransforms() - t0;
+    ASSERT_GT(per_mod_up, 0u);
+    ASSERT_GT(per_mod_down, 0u);
+    t0 = nttLimbTransforms();
+    s.eval.rotate(ct, 1, keys.rot.at(1));
+    ASSERT_EQ(nttLimbTransforms() - t0, per_mod_up + per_mod_down);
+
+    auto check = [&](u32 n1, RotStrategy st, u32 r_hyb) {
+        const u64 before = nttLimbTransforms();
+        babySteps(s.eval, ct, n1, st, r_hyb, keys);
+        const u64 got = nttLimbTransforms() - before;
+        const RotCost cost = babyStepCost(n1, st, r_hyb);
+        EXPECT_EQ(got, cost.modUpDown * per_mod_up + (n1 - 1) * per_mod_down)
+            << "n1=" << n1 << " strategy=" << static_cast<int>(st)
+            << " r_hyb=" << r_hyb << " modeled ModUps=" << cost.modUpDown;
+    };
+    for (u32 n1 : {1u, 4u, 5u, 8u}) {
+        check(n1, RotStrategy::MinKs, 1);
+        check(n1, RotStrategy::Hoisting, 1);
+        check(n1, RotStrategy::TripleHoisted, 1);
+        for (u32 r = 1; r <= n1; ++r)
+            check(n1, RotStrategy::Hybrid, r);
+    }
+    // The shape the encrypted-inference benchmark runs: 2 ModUps, not 7.
+    EXPECT_EQ(babyStepCost(8, RotStrategy::Hybrid, 4).modUpDown, 2u);
+    // A lone last coarse member rotates nothing and needs no ModUp.
+    EXPECT_EQ(babyStepCost(5, RotStrategy::Hybrid, 4).modUpDown, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Hybrid BSGS: hoisted fine and coarse steps.
+// ---------------------------------------------------------------------------
+
+/** Eager HRot from the unfused key switch (bit-identical to rotate()). */
+Ciphertext
+rotateOracle(const Evaluator &eval, const Ciphertext &ct, i64 r,
+             const KswKey &rk)
+{
+    const u64 g = galoisElementForRotation(r, eval.context().n());
+    auto [ks_b, ks_a] =
+        eval.keySwitchUnfused(applyAutomorphism(ct.a, g), ct.level, rk);
+    Ciphertext out;
+    out.level = ct.level;
+    out.scale = ct.scale;
+    out.b = applyAutomorphism(ct.b, g);
+    out.b.addInplace(ks_b);
+    out.a = std::move(ks_a);
+    return out;
+}
+
+/**
+ * Same-math oracle for the Hybrid matvec: each coarse ciphertext's fine
+ * steps and next coarse step come from hoistedRotateOracle (one unfused
+ * ModUp of that coarse ciphertext, permuted), the giant steps from the
+ * unfused eager rotation.
+ */
+Ciphertext
+hybridOracle(BsgsState &s, const std::vector<std::vector<double>> &diagonals,
+             const Ciphertext &ct, u32 n1, u32 n2, u32 r_hyb,
+             const BsgsKeys &keys)
+{
+    std::vector<Ciphertext> cts(n1);
+    cts[0] = ct;
+    for (u32 c = 0; c < n1; c += r_hyb) {
+        for (u32 f = 1; f < r_hyb && c + f < n1; ++f)
+            cts[c + f] =
+                hoistedRotateOracle(s.ctx, cts[c], f, keys.rot.at(f));
+        if (c + r_hyb < n1)
+            cts[c + r_hyb] = hoistedRotateOracle(s.ctx, cts[c], r_hyb,
+                                                 keys.rot.at(r_hyb));
+    }
+
+    const u64 slots = s.ctx.n() / 2;
+    Ciphertext out;
+    for (u32 j = 0; j < n2; ++j) {
+        const u64 stride = static_cast<u64>(n1) * j;
+        Ciphertext r;
+        for (u32 i = 0; i < n1; ++i) {
+            // Diagonal n1·j + i, rotated right by the giant-step stride.
+            std::vector<double> diag(slots);
+            for (u64 k = 0; k < slots; ++k)
+                diag[(k + stride) % slots] = diagonals[stride + i][k];
+            Ciphertext term = s.eval.mulPlain(
+                cts[i], s.eval.encoder().encodeReal(diag, cts[i].level));
+            r = i == 0 ? std::move(term) : s.eval.add(r, term);
+        }
+        if (j > 0)
+            r = rotateOracle(s.eval, r, static_cast<i64>(stride),
+                             keys.rot.at(static_cast<i64>(stride)));
+        out = j == 0 ? std::move(r) : s.eval.add(out, r);
+    }
+    return s.eval.rescale(out);
+}
+
+TEST(KernelHybridBsgs, MatVecMatchesSameMathOracleAcrossBackendsAndThreads)
+{
+    BackendScope backend_scope;
+    auto &s = bsgsState();
+    const u32 n1 = 4, n2 = 2;
+    const u64 dim = n1 * n2;
+    Rng rng(9005);
+
+    std::vector<std::vector<double>> m(dim, std::vector<double>(dim));
+    std::vector<double> x(dim);
+    for (auto &row : m)
+        for (auto &e : row)
+            e = rng.nextDouble() * 2 - 1;
+    for (auto &e : x)
+        e = rng.nextDouble() * 2 - 1;
+
+    const u64 slots = s.ctx.n() / 2;
+    std::vector<double> x_tiled(slots);
+    for (u64 i = 0; i < slots; ++i)
+        x_tiled[i] = x[i % dim];
+    auto diags = matrixDiagonals(m, slots);
+    auto ct = s.eval.encrypt(s.eval.encoder().encodeReal(x_tiled, 3), s.pk);
+    const auto expect = matVecRef(m, x);
+
+    // r_hyb = 2: two coarse groups, each with a fine step; r_hyb = 3: a
+    // full group, then a lone last coarse member.
+    for (u32 r_hyb : {2u, 3u}) {
+        auto keys = s.keysFor(n1, n2, RotStrategy::Hybrid, r_hyb);
+        Ciphertext want = hybridOracle(s, diags, ct, n1, n2, r_hyb, keys);
+        for (u32 threads : {1u, 2u, 8u}) {
+            ThreadPool::setGlobalThreads(threads);
+            for (kernels::Backend b : availableBackends()) {
+                kernels::setBackend(b);
+                Ciphertext got = ptMatVecMult(s.eval, ct, diags, n1, n2,
+                                              RotStrategy::Hybrid, r_hyb,
+                                              keys);
+                expectPolysEqual(got.b, want.b, "hybrid matvec b");
+                expectPolysEqual(got.a, want.a, "hybrid matvec a");
+            }
+        }
+        ThreadPool::setGlobalThreads(0);
+
+        auto got_dec = s.eval.encoder().decode(
+            s.eval.decrypt(want, s.keygen.secretKey()));
+        for (u64 i = 0; i < dim; ++i)
+            EXPECT_NEAR(got_dec[i].real(), expect[i], 5e-2)
+                << "r_hyb " << r_hyb << " slot " << i;
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.h"
@@ -102,6 +104,42 @@ TEST(PlanCache, DiskTierSurvivesProcessRestart)
     ASSERT_TRUE(cache.lookup(key(7), out));
     EXPECT_EQ(cache.stats().diskHits, 1u);
     EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+TEST(PlanCache, TwoThreadsInsertingOneKeyLeaveOneValidEntry)
+{
+    // Two threads of one process, each with its own cache over one
+    // directory (one cache serializes its writes under its lock), miss
+    // the same key and both write it. Each writer needs its own temp
+    // file, or one thread's rename can publish a file the other is still
+    // writing and the other's rename then fails.
+    std::string dir = scratchDir("plan_two_writers");
+    const std::vector<u8> payload(1 << 16, 0x5a);
+    const int kInserts = 200;
+    PlanCache c1(dir), c2(dir);
+    auto writer = [&](PlanCache &cache) {
+        for (int i = 0; i < kInserts; ++i)
+            cache.insert(key(11), payload);
+    };
+    std::thread t1(writer, std::ref(c1));
+    std::thread t2(writer, std::ref(c2));
+    t1.join();
+    t2.join();
+    EXPECT_EQ(c1.stats().diskWrites, u64(kInserts));
+    EXPECT_EQ(c2.stats().diskWrites, u64(kInserts));
+
+    // Exactly the entry is left: no temp file outlived its rename.
+    u64 files = 0;
+    for (const auto &e : fs::directory_iterator(dir)) {
+        EXPECT_EQ(e.path().extension(), ".plan") << e.path();
+        ++files;
+    }
+    EXPECT_EQ(files, 1u);
+    PlanCache fresh(dir);
+    std::vector<u8> out;
+    ASSERT_TRUE(fresh.lookup(key(11), out));
+    EXPECT_EQ(out, payload);
+    EXPECT_EQ(fresh.stats().diskRejects, 0u);
 }
 
 TEST(PlanCache, CorruptDiskEntriesAreRejectedNotReturned)
