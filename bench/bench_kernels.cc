@@ -27,6 +27,7 @@
  * correctness side of this file.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -101,6 +102,7 @@ struct Result
     u64 limbs;  ///< batch size / limb count; 0 when not applicable
     double ns_per_op;
     double speedup;  ///< vs the "reference" row of the same (bench, n, limbs)
+    std::string kernel;  ///< kernel backend active while the row was timed
 };
 
 std::vector<Result> g_results;
@@ -115,7 +117,8 @@ record(const std::string &bench, const std::string &backend, u64 n, u64 limbs,
             r.backend == "reference")
             base = r.ns_per_op;
     double speedup = base > 0 ? base / ns : 1.0;
-    g_results.push_back({bench, backend, n, limbs, ns, speedup});
+    g_results.push_back(
+        {bench, backend, n, limbs, ns, speedup, kernels::table().name});
     std::printf("  %-14s  %-9s  n=%-6llu limbs=%-2llu  %12.1f ns/op"
                 "  speedup %5.2fx\n",
                 bench.c_str(), backend.c_str(),
@@ -163,6 +166,7 @@ benchNtt(const std::vector<kernels::Backend> &backends)
             x = rng.nextBounded(q);
         std::vector<u64> buf = base;
 
+        kernels::setBackend(kernels::Backend::Scalar);  // the seed is scalar
         record("fwd_ntt", "reference", n, 1,
                timeOp([&] { kernels::referenceFwdNtt(buf.data(), fwd); }));
         record("inv_ntt", "reference", n, 1,
@@ -201,6 +205,7 @@ benchNttBatch(const std::vector<kernels::Backend> &backends)
 
     kernels::NttView fwd = tables.forwardView();
     kernels::NttView inv = tables.inverseView();
+    kernels::setBackend(kernels::Backend::Scalar);  // the seed is scalar
     record("fwd_ntt_batch", "reference", n, batch, timeOp([&] {
                for (u64 i = 0; i < batch; ++i)
                    kernels::referenceFwdNtt(polys[i], fwd);
@@ -410,17 +415,41 @@ benchBsgsMatVec(const std::vector<kernels::Backend> &backends)
         {RotStrategy::Hybrid, 4, "hybrid_r4"},
         {RotStrategy::TripleHoisted, 1, "triple"},
     };
+    constexpr u64 kRows = std::size(kStrategies);
     kernels::setBackend(backends.back());
-    for (const auto &v : kStrategies) {
-        BsgsKeys keys;
-        for (i64 r : requiredRotations(n1, n2, v.strategy, v.rHyb))
-            keys.rot.emplace(r, fx.keygen.makeRotationKey(r));
-        record("bsgs_matvec", v.row, fx.ctx.n(), n1, timeOp([&] {
-                   Ciphertext out =
-                       ptMatVecMult(fx.eval, fx.ct, diagonals, n1, n2,
-                                    v.strategy, v.rHyb, keys);
-                   (void)out;
-               }));
+    std::vector<BsgsKeys> keys(kRows);
+    auto once = [&](u64 v) {
+        Ciphertext out = ptMatVecMult(fx.eval, fx.ct, diagonals, n1, n2,
+                                      kStrategies[v].strategy,
+                                      kStrategies[v].rHyb, keys[v]);
+        (void)out;
+    };
+    for (u64 v = 0; v < kRows; ++v) {
+        for (i64 r : requiredRotations(n1, n2, kStrategies[v].strategy,
+                                       kStrategies[v].rHyb))
+            keys[v].rot.emplace(r, fx.keygen.makeRotationKey(r));
+        once(v);  // warm caches and the lazily built tables
+    }
+
+    // Round-robin, one rep of every row per round: host drift during the
+    // sweep then hits all rows alike instead of whichever ran last. Each
+    // row reports its median over the rounds.
+    using clock = std::chrono::steady_clock;
+    const int rounds = g_smoke ? 3 : 15;
+    std::vector<std::vector<double>> ns(kRows);
+    for (int round = 0; round < rounds; ++round) {
+        for (u64 v = 0; v < kRows; ++v) {
+            auto t0 = clock::now();
+            once(v);
+            ns[v].push_back(
+                std::chrono::duration<double, std::nano>(clock::now() - t0)
+                    .count());
+        }
+    }
+    for (u64 v = 0; v < kRows; ++v) {
+        std::sort(ns[v].begin(), ns[v].end());
+        record("bsgs_matvec", kStrategies[v].row, fx.ctx.n(), n1,
+               ns[v][ns[v].size() / 2]);
     }
 }
 
@@ -549,6 +578,22 @@ runDigest(const std::vector<kernels::Backend> &backends)
     }
 }
 
+/** The host CPU's model name (/proc/cpuinfo), or "unknown". */
+std::string
+hostCpu()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        auto colon = line.find(':');
+        if (colon != std::string::npos && colon + 2 <= line.size())
+            return line.substr(colon + 2);
+    }
+    return "unknown";
+}
+
 void
 writeJson(const std::string &path)
 {
@@ -558,6 +603,7 @@ writeJson(const std::string &path)
         return;
     }
     std::fprintf(f, "{\n  \"bench\": \"bench_kernels\",\n");
+    std::fprintf(f, "  \"host\": \"%s\",\n", hostCpu().c_str());
     std::fprintf(f, "  \"smoke\": %s,\n", g_smoke ? "true" : "false");
     std::fprintf(f, "  \"threads\": %u,\n", ThreadPool::globalThreads());
     std::fprintf(f, "  \"results\": [\n");
@@ -566,11 +612,13 @@ writeJson(const std::string &path)
         std::fprintf(f,
                      "    {\"bench\": \"%s\", \"backend\": \"%s\", "
                      "\"n\": %llu, \"limbs\": %llu, "
-                     "\"ns_per_op\": %.1f, \"speedup_vs_reference\": %.3f}%s\n",
+                     "\"ns_per_op\": %.1f, \"speedup_vs_reference\": %.3f, "
+                     "\"kernel\": \"%s\"}%s\n",
                      r.bench.c_str(), r.backend.c_str(),
                      static_cast<unsigned long long>(r.n),
                      static_cast<unsigned long long>(r.limbs), r.ns_per_op,
-                     r.speedup, i + 1 < g_results.size() ? "," : "");
+                     r.speedup, r.kernel.c_str(),
+                     i + 1 < g_results.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

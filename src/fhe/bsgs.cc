@@ -1,10 +1,10 @@
 #include "fhe/bsgs.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "common/logging.h"
 #include "common/math_util.h"
-#include "common/parallel.h"
 #include "fhe/automorphism.h"
 #include "fhe/bconv.h"
 
@@ -59,9 +59,10 @@ babySteps(const Evaluator &eval, const Ciphertext &ct, u32 n1,
       case RotStrategy::Hoisting:
       case RotStrategy::TripleHoisted: {
         // One shared Decomp/ModUp: ct.a is decomposed and raised to the
-        // extended basis once, then every baby-step rotation permutes
-        // the precomputed digits (decrypt-equivalent to eval.rotate; the
-        // permuted-lift difference is absorbed by key-switch noise).
+        // extended basis once, then every baby-step rotation reads the
+        // precomputed digits through its permutation (decrypt-equivalent
+        // to eval.rotate; the permuted-lift difference is absorbed by
+        // key-switch noise).
         if (n1 < 2)
             break;
         auto digits = eval.hoistedDecompModUp(ct.a, ct.level);
@@ -131,6 +132,35 @@ rotateRight(const std::vector<double> &v, u64 amount)
     return out;
 }
 
+/**
+ * Σ_i cts[i] ⊙ encode(Rot_{-stride}(diagonals[stride + i])): one giant
+ * group's plaintext sum, accumulated where it is produced. The encoded
+ * diagonals are the inner product's d rows and the ciphertext halves its
+ * key rows; bit-identical to mulPlain per term followed by add in term
+ * order. The n1 plaintexts live only for this call, so they are freed
+ * before the giant-step rotation runs.
+ */
+Ciphertext
+giantGroupSum(const Evaluator &eval, const std::vector<Ciphertext> &cts,
+              const std::vector<std::vector<double>> &diagonals, u64 stride)
+{
+    std::vector<Plaintext> pts;
+    pts.reserve(cts.size());
+    std::vector<const RnsPoly *> d, kb, ka;
+    for (u64 i = 0; i < cts.size(); ++i) {
+        pts.push_back(eval.encoder().encodeReal(
+            rotateRight(diagonals[stride + i], stride), cts[i].level));
+        d.push_back(&pts.back().poly);
+        kb.push_back(&cts[i].b);
+        ka.push_back(&cts[i].a);
+    }
+    Ciphertext out;
+    out.level = cts[0].level;
+    out.scale = cts[0].scale * pts[0].scale;
+    std::tie(out.b, out.a) = innerProductRows(eval.context(), d, kb, ka);
+    return out;
+}
+
 }  // namespace
 
 Ciphertext
@@ -140,7 +170,6 @@ ptMatVecMult(const Evaluator &eval, const Ciphertext &ct,
 {
     const u64 s = static_cast<u64>(n1) * n2;
     CROPHE_ASSERT(diagonals.size() == s, "need one diagonal per offset");
-    const Encoder &enc = eval.encoder();
 
     auto cts = babySteps(eval, ct, n1, strategy, r_hyb, keys);
 
@@ -153,57 +182,39 @@ ptMatVecMult(const Evaluator &eval, const Ciphertext &ct,
     bool have_acc = false;
     RnsPoly acc_b, acc_a;
 
-    bool have_out = false;
     Ciphertext out;
     for (u32 j = 0; j < n2; ++j) {
-        bool have_r = false;
-        Ciphertext r;
-        for (u32 i = 0; i < n1; ++i) {
-            u64 d = static_cast<u64>(n1) * j + i;
-            auto diag = rotateRight(diagonals[d], static_cast<u64>(n1) * j);
-            Plaintext pt = enc.encodeReal(diag, cts[i].level);
-            Ciphertext term = eval.mulPlain(cts[i], pt);
-            if (!have_r) {
-                r = std::move(term);
-                have_r = true;
-            } else {
-                r = eval.add(r, term);
-            }
-        }
-        if (j > 0) {
-            const i64 stride = static_cast<i64>(n1) * j;
-            const KswKey &gk = keys.rot.at(stride);
-            if (deferred) {
-                const u64 g = galoisElementForRotation(stride, ctx.n());
-                auto digits = eval.hoistedDecompModUp(r.a, r.level);
-                std::vector<RnsPoly> rotated(digits.size());
-                parallelFor(0, digits.size(), [&](u64 k) {
-                    rotated[k] = applyAutomorphism(digits[k], g);
-                });
-                auto [ip_b, ip_a] =
-                    eval.hoistedInnerProd(rotated, gk);
-                if (!have_acc) {
-                    acc_b = std::move(ip_b);
-                    acc_a = std::move(ip_a);
-                    have_acc = true;
-                } else {
-                    acc_b.addInplace(ip_b);
-                    acc_a.addInplace(ip_a);
-                }
-                // Only ψ(r.b) enters the running sum now; the key-switch
-                // (b, a) contribution arrives after the hoisted ModDown.
-                r.b = applyAutomorphism(r.b, g);
-                r.a = RnsPoly(ctx, ctx.qBasis(r.level), Rep::Eval);
-            } else {
-                r = eval.rotate(r, stride, gk);
-            }
-        }
-        if (!have_out) {
+        const u64 stride = static_cast<u64>(n1) * j;
+        Ciphertext r = giantGroupSum(eval, cts, diagonals, stride);
+        if (j == 0) {
             out = std::move(r);
-            have_out = true;
-        } else {
-            out = eval.add(out, r);
+            continue;
         }
+        const KswKey &gk = keys.rot.at(static_cast<i64>(stride));
+        if (!deferred) {
+            r = eval.rotate(r, static_cast<i64>(stride), gk);
+            out.b.addInplace(r.b);
+            out.a.addInplace(r.a);
+            continue;
+        }
+        // The hoisted digits of r.a are read through ψ inside the inner
+        // product; only ψ(r.b) enters the running sum now, and the
+        // key-switch (b, a) contribution arrives after the hoisted
+        // ModDown.
+        const u64 g = galoisElementForRotation(static_cast<i64>(stride),
+                                               ctx.n());
+        auto [ip_b, ip_a] =
+            eval.hoistedInnerProd(eval.hoistedDecompModUp(r.a, r.level), gk,
+                                  ctx.autEvalTable(g).data());
+        if (!have_acc) {
+            acc_b = std::move(ip_b);
+            acc_a = std::move(ip_a);
+            have_acc = true;
+        } else {
+            acc_b.addInplace(ip_b);
+            acc_a.addInplace(ip_a);
+        }
+        out.b.addInplace(applyAutomorphism(r.b, g));
     }
     if (have_acc) {
         auto [md_b, md_a] = modDownEvalPair(ctx, acc_b, acc_a, out.level);

@@ -27,17 +27,32 @@ arrayBitReverse(std::vector<Cplx> &vals)
 SpecialFft::SpecialFft(u64 n) : n_(n), m_(2 * n)
 {
     CROPHE_ASSERT(isPow2(n) && n >= 4, "ring degree must be a power of two >= 4");
-    ksi_.resize(m_ + 1);
+    std::vector<Cplx> ksi(m_ + 1);  // ksi[j] = exp(2πi j / M)
     for (u64 j = 0; j <= m_; ++j) {
         double angle = 2.0 * std::numbers::pi * static_cast<double>(j) /
                        static_cast<double>(m_);
-        ksi_[j] = Cplx(std::cos(angle), std::sin(angle));
+        ksi[j] = Cplx(std::cos(angle), std::sin(angle));
     }
-    rotGroup_.resize(n_ / 2);
+    std::vector<u64> rot_group(n_ / 2);  // 5^j mod M
     u64 five = 1;
     for (u64 j = 0; j < n_ / 2; ++j) {
-        rotGroup_[j] = five;
+        rot_group[j] = five;
         five = (five * 5) % m_;
+    }
+    // Butterfly j of the stage with half-length lenh uses the root
+    // ζ^{(5^j mod lenq)·M/lenq}, lenq = 4·len; the inverse uses its
+    // conjugate. Both are stored at [lenh - 1 + j].
+    const u64 slots_count = n_ / 2;
+    fwdTw_.resize(slots_count);
+    invTw_.resize(slots_count);
+    for (u64 len = 2; len <= slots_count; len <<= 1) {
+        const u64 lenh = len >> 1;
+        const u64 lenq = len << 2;
+        for (u64 j = 0; j < lenh; ++j) {
+            const u64 r = rot_group[j] % lenq;
+            fwdTw_[lenh - 1 + j] = ksi[r * (m_ / lenq)];
+            invTw_[lenh - 1 + j] = ksi[(lenq - r) * (m_ / lenq)];
+        }
     }
 }
 
@@ -48,13 +63,12 @@ SpecialFft::embed(std::vector<Cplx> &vals) const
     CROPHE_ASSERT(slots_count == slots(), "slot count mismatch");
     arrayBitReverse(vals);
     for (u64 len = 2; len <= slots_count; len <<= 1) {
+        const u64 lenh = len >> 1;
+        const Cplx *tw = fwdTw_.data() + lenh - 1;
         for (u64 i = 0; i < slots_count; i += len) {
-            u64 lenh = len >> 1;
-            u64 lenq = len << 2;
             for (u64 j = 0; j < lenh; ++j) {
-                u64 idx = (rotGroup_[j] % lenq) * (m_ / lenq);
                 Cplx u = vals[i + j];
-                Cplx v = vals[i + j + lenh] * ksi_[idx];
+                Cplx v = vals[i + j + lenh] * tw[j];
                 vals[i + j] = u + v;
                 vals[i + j + lenh] = u - v;
             }
@@ -67,16 +81,13 @@ SpecialFft::embedInverse(std::vector<Cplx> &vals) const
 {
     const u64 slots_count = vals.size();
     CROPHE_ASSERT(slots_count == slots(), "slot count mismatch");
-    for (u64 len = slots_count; len >= 1; len >>= 1) {
-        if (len < 2)
-            break;
+    for (u64 len = slots_count; len >= 2; len >>= 1) {
+        const u64 lenh = len >> 1;
+        const Cplx *tw = invTw_.data() + lenh - 1;
         for (u64 i = 0; i < slots_count; i += len) {
-            u64 lenh = len >> 1;
-            u64 lenq = len << 2;
             for (u64 j = 0; j < lenh; ++j) {
-                u64 idx = (lenq - (rotGroup_[j] % lenq)) * (m_ / lenq);
                 Cplx u = vals[i + j] + vals[i + j + lenh];
-                Cplx v = (vals[i + j] - vals[i + j + lenh]) * ksi_[idx];
+                Cplx v = (vals[i + j] - vals[i + j + lenh]) * tw[j];
                 vals[i + j] = u;
                 vals[i + j + lenh] = v;
             }

@@ -45,8 +45,10 @@ class SpecialFft
   private:
     u64 n_;       ///< ring degree N
     u64 m_;       ///< 2N
-    std::vector<Cplx> ksi_;   ///< ksi_[j] = exp(2πi j / M), j = 0…M
-    std::vector<u64> rotGroup_;  ///< 5^j mod M, j = 0…N/2-1
+    /** Per-stage twiddles of embed(): stage half-length h at [h-1, 2h-1). */
+    std::vector<Cplx> fwdTw_;
+    /** The conjugate twiddles of embedInverse(), same layout. */
+    std::vector<Cplx> invTw_;
 };
 
 /**

@@ -237,41 +237,61 @@ Evaluator::hoistedDecompModUp(const RnsPoly &d, u32 level) const
 }
 
 std::pair<RnsPoly, RnsPoly>
+innerProductRows(const FheContext &ctx, const std::vector<const RnsPoly *> &d,
+                 const std::vector<const RnsPoly *> &kb,
+                 const std::vector<const RnsPoly *> &ka, const u64 *perm)
+{
+    const u64 rows = d.size();
+    // The kernel sums the row products of two residues below 2^60 in
+    // 128 bits.
+    CROPHE_ASSERT(rows >= 1 && rows < 256 && kb.size() == rows &&
+                      ka.size() == rows,
+                  "inner product needs 1..255 rows");
+    const std::vector<u32> &basis = d[0]->basis();
+    RnsPoly acc_b(ctx, basis, Rep::Eval);
+    RnsPoly acc_a(ctx, basis, Rep::Eval);
+    const auto &kt = kernels::table();
+    // Output-stationary: one kernel call per limb reads that limb of
+    // every row (the d rows through @p perm when set), in place with no
+    // copies, and reduces each output once. Limbs are independent, and
+    // the result equals the per-row multiply-then-add flow bit for bit.
+    parallelFor(0, basis.size(), [&](u64 l) {
+        auto limbOf = [&](const RnsPoly &p) {
+            const std::vector<u32> &pb = p.basis();
+            auto it = std::find(pb.begin(), pb.end(), basis[l]);
+            CROPHE_ASSERT(it != pb.end(), "row lacks modulus ", basis[l]);
+            return p.limb(static_cast<u32>(it - pb.begin())).data();
+        };
+        std::vector<const u64 *> dl(rows), kbl(rows), kal(rows);
+        for (u64 j = 0; j < rows; ++j) {
+            dl[j] = d[j]->limb(static_cast<u32>(l)).data();
+            kbl[j] = limbOf(*kb[j]);
+            kal[j] = limbOf(*ka[j]);
+        }
+        const Modulus &m = ctx.mod(basis[l]);
+        const kernels::BarrettView q{m.value(), m.barrettLo(),
+                                     m.barrettHi()};
+        kt.kskInnerProd(acc_b.limb(static_cast<u32>(l)).data(),
+                        acc_a.limb(static_cast<u32>(l)).data(), dl.data(),
+                        perm, kbl.data(), kal.data(), rows, ctx.n(), q);
+    });
+    return {std::move(acc_b), std::move(acc_a)};
+}
+
+std::pair<RnsPoly, RnsPoly>
 Evaluator::hoistedInnerProd(const std::vector<RnsPoly> &digits,
-                            const KswKey &key) const
+                            const KswKey &key, const u64 *perm) const
 {
     const u32 beta = static_cast<u32>(digits.size());
     CROPHE_ASSERT(beta >= 1 && beta <= key.digitCount(),
                   "digit count mismatch in hoisted inner product");
-    // The kernel sums β products of two residues below 2^60 in 128 bits.
-    CROPHE_ASSERT(beta < 256, "too many digits for the inner-product kernel");
-    const std::vector<u32> &basis = digits[0].basis();
-    const std::vector<u32> &key_basis = key.b[0].basis();
-    RnsPoly acc_b(*ctx_, basis, Rep::Eval);
-    RnsPoly acc_a(*ctx_, basis, Rep::Eval);
-    const auto &kt = kernels::table();
-    // Output-stationary: one kernel call per limb reads that limb of
-    // every digit and of the key's matching rows (in place, no copies)
-    // and reduces each output once. Limbs are independent, and the
-    // result equals the per-digit multiply-then-add flow bit for bit.
-    parallelFor(0, basis.size(), [&](u64 l) {
-        auto it = std::find(key_basis.begin(), key_basis.end(), basis[l]);
-        CROPHE_ASSERT(it != key_basis.end(), "key lacks modulus ", basis[l]);
-        const u32 kl = static_cast<u32>(it - key_basis.begin());
-        std::vector<const u64 *> d(beta), kb(beta), ka(beta);
-        for (u32 j = 0; j < beta; ++j) {
-            d[j] = digits[j].limb(static_cast<u32>(l)).data();
-            kb[j] = key.b[j].limb(kl).data();
-            ka[j] = key.a[j].limb(kl).data();
-        }
-        const Modulus &m = ctx_->mod(basis[l]);
-        const kernels::BarrettView q{m.value(), m.barrettLo(),
-                                     m.barrettHi()};
-        kt.kskInnerProd(acc_b.limb(static_cast<u32>(l)).data(),
-                        acc_a.limb(static_cast<u32>(l)).data(), d.data(),
-                        kb.data(), ka.data(), beta, ctx_->n(), q);
-    });
-    return {std::move(acc_b), std::move(acc_a)};
+    std::vector<const RnsPoly *> d(beta), kb(beta), ka(beta);
+    for (u32 j = 0; j < beta; ++j) {
+        d[j] = &digits[j];
+        kb[j] = &key.b[j];
+        ka[j] = &key.a[j];
+    }
+    return innerProductRows(*ctx_, d, kb, ka, perm);
 }
 
 Ciphertext
@@ -280,17 +300,15 @@ Evaluator::hoistedRotate(const Ciphertext &ct,
                          const KswKey &rk) const
 {
     const u64 g = galoisElementForRotation(r, ctx_->n());
-    const u32 beta = static_cast<u32>(digits.size());
-    // Permuting the hoisted digits replaces the per-rotation Decomp +
-    // ModUp. ψ does not commute with ModUp bit for bit (ψ flips signs and
-    // the BConv of a canonical representative is not odd-symmetric), so
-    // the extended limbs differ from the eager path by multiples of the
-    // digit modulus, which key-switch noise absorbs.
-    std::vector<RnsPoly> rotated(beta);
-    parallelFor(0, beta, [&](u64 j) {
-        rotated[j] = applyAutomorphism(digits[j], g);
-    });
-    auto [ip_b, ip_a] = hoistedInnerProd(rotated, rk);
+    // The inner product reads each hoisted digit through the Eval-domain
+    // automorphism table, so ψ replaces the per-rotation Decomp + ModUp
+    // without a permuted copy of any digit. ψ does not commute with ModUp
+    // bit for bit (ψ flips signs and the BConv of a canonical
+    // representative is not odd-symmetric), so the extended limbs differ
+    // from the eager path by multiples of the digit modulus, which
+    // key-switch noise absorbs.
+    auto [ip_b, ip_a] =
+        hoistedInnerProd(digits, rk, ctx_->autEvalTable(g).data());
     auto [ks_b, ks_a] = modDownEvalPair(*ctx_, ip_b, ip_a, ct.level);
 
     Ciphertext out;

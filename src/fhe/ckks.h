@@ -30,6 +30,21 @@ struct Ciphertext
     u32 level = 0;
 };
 
+/**
+ * The KSKInP loop shared by the key switch and the BSGS plaintext sum:
+ * (Σ_j d[j] ⊙ kb[j], Σ_j d[j] ⊙ ka[j]) over d[0]'s basis in Eval rep,
+ * one kernels::KernelTable::kskInnerProd call per limb, 1–255 rows. The
+ * kb/ka rows may span a wider basis (a key's); their limbs are matched
+ * by modulus. @p perm (nullable) is an index map applied to the d rows
+ * only, e.g. an Eval-domain automorphism table. Bit-identical to a
+ * mulEwInplace per row followed by row-order addInplace.
+ */
+std::pair<RnsPoly, RnsPoly>
+innerProductRows(const FheContext &ctx, const std::vector<const RnsPoly *> &d,
+                 const std::vector<const RnsPoly *> &kb,
+                 const std::vector<const RnsPoly *> &ka,
+                 const u64 *perm = nullptr);
+
 /** All homomorphic operations over one FheContext. */
 class Evaluator
 {
@@ -117,16 +132,20 @@ class Evaluator
      * giant-step accumulation). Output-stationary: per limb, one fused
      * kernel sums all β digit × key-row products in 128 bits and
      * reduces once; the digits and the key are read in place.
+     *
+     * @p perm (nullable) is an Eval-domain automorphism table
+     * (FheContext::autEvalTable): the digits are then read as ψ(digit),
+     * bit-identical to passing applyAutomorphism() copies of them.
      */
     std::pair<RnsPoly, RnsPoly>
-    hoistedInnerProd(const std::vector<RnsPoly> &digits,
-                     const KswKey &key) const;
+    hoistedInnerProd(const std::vector<RnsPoly> &digits, const KswKey &key,
+                     const u64 *perm = nullptr) const;
 
     /**
      * HRot by @p r from hoisted digits of ct.a: the NTT-domain
-     * automorphism is applied to each precomputed digit (a pure
-     * permutation — no transforms, no BConv), then KSKInP + ModDown as
-     * usual. NOT bit-identical to rotate(ct, r, rk): ψ carries sign
+     * automorphism is a pure permutation (no transforms, no BConv), so
+     * KSKInP reads each precomputed digit through it — the digits are
+     * never copied — then ModDown as usual. NOT bit-identical to rotate(ct, r, rk): ψ carries sign
      * flips and BConv of the canonical representative is not
      * odd-symmetric, so the extended limbs differ from the eager path
      * by multiples of the digit modulus — a lift ambiguity absorbed by

@@ -1,26 +1,48 @@
 #include "fhe/encoding.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/parallel.h"
 
 namespace crophe::fhe {
 
 namespace {
 
-/** Map a signed real coefficient to its residues over the poly's basis. */
+/**
+ * Round each signed real coefficient and write its residues into every
+ * limb of @p poly (Coeff rep); entry i lands at coefficient i. Rounding
+ * runs once per coefficient, then each limb is written front to back.
+ */
 void
-setSignedCoeff(RnsPoly &poly, u64 idx, double value)
+setSignedCoeffs(RnsPoly &poly, const std::vector<double> &coeffs)
 {
-    bool negative = value < 0;
-    double mag = std::abs(value);
-    CROPHE_ASSERT(mag < 0x1.0p62, "coefficient too large to encode: ", value);
-    u64 v = static_cast<u64>(std::llround(mag));
-    for (u32 i = 0; i < poly.limbCount(); ++i) {
-        const Modulus &m = poly.mod(i);
-        u64 r = m.reduce64(v);
-        poly.limb(i)[idx] = negative ? m.neg(r) : r;
+    const u64 count = std::min<u64>(coeffs.size(), poly.n());
+    std::vector<i64> rounded(count);
+    for (u64 i = 0; i < count; ++i) {
+        const double value = coeffs[i];
+        const double mag = std::abs(value);
+        CROPHE_ASSERT(mag < 0x1.0p62, "coefficient too large to encode: ",
+                      value);
+        const i64 v = std::llround(mag);
+        rounded[i] = value < 0 ? -v : v;
     }
+    parallelFor(0, poly.limbCount(), [&](u64 l) {
+        const Modulus &m = poly.mod(static_cast<u32>(l));
+        const u64 q = m.value();
+        u64 *dst = poly.limb(static_cast<u32>(l)).data();
+        for (u64 i = 0; i < count; ++i) {
+            // Branch-free on the sign, which is random per coefficient:
+            // dst = s < 0 ? neg(|s| mod q) : |s| mod q.
+            const i64 s = rounded[i];
+            const u64 neg = 0 - static_cast<u64>(s < 0);
+            const u64 v = (static_cast<u64>(s) ^ neg) - neg;
+            const u64 r = v < q ? v : m.reduce64(v);
+            const u64 nr = (q - r) & (0 - static_cast<u64>(r != 0));
+            dst[i] = (nr & neg) | (r & ~neg);
+        }
+    });
 }
 
 }  // namespace
@@ -43,16 +65,12 @@ Encoder::encode(const std::vector<Cplx> &values, u32 level,
 
     fft_.embedInverse(vals);
 
-    Plaintext pt;
-    pt.scale = scale;
-    pt.level = level;
-    pt.poly = RnsPoly(*ctx_, ctx_->qBasis(level), Rep::Coeff);
+    std::vector<double> coeffs(2 * half);
     for (u64 j = 0; j < half; ++j) {
-        setSignedCoeff(pt.poly, j, vals[j].real() * scale);
-        setSignedCoeff(pt.poly, j + half, vals[j].imag() * scale);
+        coeffs[j] = vals[j].real() * scale;
+        coeffs[j + half] = vals[j].imag() * scale;
     }
-    pt.poly.toEval();
-    return pt;
+    return encodeCoeffs(coeffs, level, scale);
 }
 
 Plaintext
@@ -73,8 +91,7 @@ Encoder::encodeCoeffs(const std::vector<double> &coeffs, u32 level,
     pt.scale = scale;
     pt.level = level;
     pt.poly = RnsPoly(*ctx_, ctx_->qBasis(level), Rep::Coeff);
-    for (u64 i = 0; i < coeffs.size() && i < ctx_->n(); ++i)
-        setSignedCoeff(pt.poly, i, coeffs[i]);
+    setSignedCoeffs(pt.poly, coeffs);
     pt.poly.toEval();
     return pt;
 }

@@ -121,16 +121,26 @@ struct KernelTable
 
     /**
      * Key-switch inner product (KSKInP) of one limb, output-stationary:
-     * for each coefficient c,
-     *   accB[c] = (Σ_j d[j][c]·kb[j][c]) mod q
-     *   accA[c] = (Σ_j d[j][c]·ka[j][c]) mod q
-     * over the beta digit rows, each sum held in 128 bits and reduced
-     * once. Requires beta < 256 so β·q² < 2^128; equal to a Barrett
-     * multiply per digit followed by digit-order addMod.
+     * for each coefficient c, with s = idx ? idx[c] : c,
+     *   accB[c] = (Σ_j d[j][s]·kb[j][c]) mod q
+     *   accA[c] = (Σ_j d[j][s]·ka[j][c]) mod q
+     * over the beta rows, each sum held in 128 bits and reduced once.
+     * Requires beta < 256 so β·q² < 2^128; equal to a Barrett multiply
+     * per row followed by row-order addMod, so it also serves as a
+     * plaintext multiply-accumulate (d = plaintexts, kb/ka = the
+     * ciphertext halves).
+     *
+     * idx (nullable; each idx[c] must lie inside the d rows) is an
+     * index map applied to the d rows only: with idx = an Eval-domain
+     * automorphism table the kernel reads ψ(d[j]) without materializing
+     * it, bit-identical to a gather() of every row followed by the
+     * un-indexed call. The SIMD backends read d through hardware
+     * gathers; tails are scalar.
      */
     void (*kskInnerProd)(u64 *accB, u64 *accA, const u64 *const *d,
-                         const u64 *const *kb, const u64 *const *ka,
-                         u64 beta, u64 n, const BarrettView &q);
+                         const u64 *idx, const u64 *const *kb,
+                         const u64 *const *ka, u64 beta, u64 n,
+                         const BarrettView &q);
 
     // -- Batched entries (capability/fallback contract) -----------------
     //

@@ -514,21 +514,32 @@ bconvOutAvx2(u64 *out, const u64 *xhat, u64 xhatStride, u64 m, u64 cnt,
     }
 }
 
+template <bool Indexed>
 void
-kskInnerProdAvx2(u64 *accB, u64 *accA, const u64 *const *d,
-                 const u64 *const *kb, const u64 *const *ka, u64 beta, u64 n,
-                 const BarrettView &q)
+kskInnerProdAvx2Impl(u64 *accB, u64 *accA, const u64 *const *d,
+                     const u64 *idx, const u64 *const *kb,
+                     const u64 *const *ka, u64 beta, u64 n,
+                     const BarrettView &q)
 {
     const BarrettV b = broadcastBarrett(q);
     u64 c = 0;
     for (; c + 4 <= n; c += 4) {
+        __m256i vi = _mm256_setzero_si256();
+        if constexpr (Indexed)
+            vi = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(idx + c));
         __m256i bLo = _mm256_setzero_si256();
         __m256i bHi = _mm256_setzero_si256();
         __m256i aLo = _mm256_setzero_si256();
         __m256i aHi = _mm256_setzero_si256();
         for (u64 j = 0; j < beta; ++j) {
-            __m256i x = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(d[j] + c));
+            __m256i x;
+            if constexpr (Indexed)
+                x = _mm256_i64gather_epi64(
+                    reinterpret_cast<const long long *>(d[j]), vi, 8);
+            else
+                x = _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(d[j] + c));
             mulAcc128(bHi, bLo, x,
                       _mm256_loadu_si256(
                           reinterpret_cast<const __m256i *>(kb[j] + c)));
@@ -542,15 +553,27 @@ kskInnerProdAvx2(u64 *accB, u64 *accA, const u64 *const *d,
                             barrettReduceV(aHi, aLo, b));
     }
     for (; c < n; ++c) {
+        const u64 src = Indexed ? idx[c] : c;
         u128 sb = 0;
         u128 sa = 0;
         for (u64 j = 0; j < beta; ++j) {
-            sb += static_cast<u128>(d[j][c]) * kb[j][c];
-            sa += static_cast<u128>(d[j][c]) * ka[j][c];
+            sb += static_cast<u128>(d[j][src]) * kb[j][c];
+            sa += static_cast<u128>(d[j][src]) * ka[j][c];
         }
         accB[c] = barrettReduceS(sb, q);
         accA[c] = barrettReduceS(sa, q);
     }
+}
+
+void
+kskInnerProdAvx2(u64 *accB, u64 *accA, const u64 *const *d, const u64 *idx,
+                 const u64 *const *kb, const u64 *const *ka, u64 beta, u64 n,
+                 const BarrettView &q)
+{
+    if (idx != nullptr)
+        kskInnerProdAvx2Impl<true>(accB, accA, d, idx, kb, ka, beta, n, q);
+    else
+        kskInnerProdAvx2Impl<false>(accB, accA, d, idx, kb, ka, beta, n, q);
 }
 
 }  // namespace

@@ -514,20 +514,29 @@ bconvOutAvx512(u64 *out, const u64 *xhat, u64 xhatStride, u64 m, u64 cnt,
     }
 }
 
+template <bool Indexed>
 void
-kskInnerProdAvx512(u64 *accB, u64 *accA, const u64 *const *d,
-                   const u64 *const *kb, const u64 *const *ka, u64 beta,
-                   u64 n, const BarrettView &q)
+kskInnerProdAvx512Impl(u64 *accB, u64 *accA, const u64 *const *d,
+                       const u64 *idx, const u64 *const *kb,
+                       const u64 *const *ka, u64 beta, u64 n,
+                       const BarrettView &q)
 {
     const BarrettV b = broadcastBarrett(q);
     u64 c = 0;
     for (; c + 8 <= n; c += 8) {
+        __m512i vi = _mm512_setzero_si512();
+        if constexpr (Indexed)
+            vi = _mm512_loadu_si512(idx + c);
         __m512i bLo = _mm512_setzero_si512();
         __m512i bHi = _mm512_setzero_si512();
         __m512i aLo = _mm512_setzero_si512();
         __m512i aHi = _mm512_setzero_si512();
         for (u64 j = 0; j < beta; ++j) {
-            __m512i x = _mm512_loadu_si512(d[j] + c);
+            __m512i x;
+            if constexpr (Indexed)
+                x = _mm512_i64gather_epi64(vi, d[j], 8);
+            else
+                x = _mm512_loadu_si512(d[j] + c);
             mulAcc128(bHi, bLo, x, _mm512_loadu_si512(kb[j] + c));
             mulAcc128(aHi, aLo, x, _mm512_loadu_si512(ka[j] + c));
         }
@@ -535,15 +544,29 @@ kskInnerProdAvx512(u64 *accB, u64 *accA, const u64 *const *d,
         _mm512_storeu_si512(accA + c, barrettReduceV(aHi, aLo, b));
     }
     for (; c < n; ++c) {
+        const u64 src = Indexed ? idx[c] : c;
         u128 sb = 0;
         u128 sa = 0;
         for (u64 j = 0; j < beta; ++j) {
-            sb += static_cast<u128>(d[j][c]) * kb[j][c];
-            sa += static_cast<u128>(d[j][c]) * ka[j][c];
+            sb += static_cast<u128>(d[j][src]) * kb[j][c];
+            sa += static_cast<u128>(d[j][src]) * ka[j][c];
         }
         accB[c] = barrettReduceS(sb, q);
         accA[c] = barrettReduceS(sa, q);
     }
+}
+
+void
+kskInnerProdAvx512(u64 *accB, u64 *accA, const u64 *const *d,
+                   const u64 *idx, const u64 *const *kb,
+                   const u64 *const *ka, u64 beta, u64 n,
+                   const BarrettView &q)
+{
+    if (idx != nullptr)
+        kskInnerProdAvx512Impl<true>(accB, accA, d, idx, kb, ka, beta, n, q);
+    else
+        kskInnerProdAvx512Impl<false>(accB, accA, d, idx, kb, ka, beta, n,
+                                      q);
 }
 
 }  // namespace

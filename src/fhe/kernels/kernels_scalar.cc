@@ -282,16 +282,19 @@ bconvOutScalar(u64 *out, const u64 *xhat, u64 xhatStride, u64 m, u64 cnt,
     }
 }
 
+template <bool Indexed>
 void
-kskInnerProdScalar(u64 *accB, u64 *accA, const u64 *const *d,
-                   const u64 *const *kb, const u64 *const *ka, u64 beta,
-                   u64 n, const BarrettView &q)
+kskInnerProdScalarImpl(u64 *accB, u64 *accA, const u64 *const *d,
+                       const u64 *idx, const u64 *const *kb,
+                       const u64 *const *ka, u64 beta, u64 n,
+                       const BarrettView &q)
 {
     for (u64 c = 0; c < n; ++c) {
+        const u64 src = Indexed ? idx[c] : c;
         u128 sb = 0;
         u128 sa = 0;
         for (u64 j = 0; j < beta; ++j) {
-            const u128 x = d[j][c];
+            const u128 x = d[j][src];
             sb += x * kb[j][c];
             sa += x * ka[j][c];
         }
@@ -300,6 +303,18 @@ kskInnerProdScalar(u64 *accB, u64 *accA, const u64 *const *d,
         accA[c] = barrettReduce(static_cast<u64>(sa >> 64),
                                 static_cast<u64>(sa), q);
     }
+}
+
+void
+kskInnerProdScalar(u64 *accB, u64 *accA, const u64 *const *d,
+                   const u64 *idx, const u64 *const *kb,
+                   const u64 *const *ka, u64 beta, u64 n,
+                   const BarrettView &q)
+{
+    if (idx != nullptr)
+        kskInnerProdScalarImpl<true>(accB, accA, d, idx, kb, ka, beta, n, q);
+    else
+        kskInnerProdScalarImpl<false>(accB, accA, d, idx, kb, ka, beta, n, q);
 }
 
 }  // namespace

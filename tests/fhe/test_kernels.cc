@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/arena.h"
@@ -8,6 +9,7 @@
 #include "common/math_util.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "fhe/automorphism.h"
 #include "fhe/bconv.h"
 #include "fhe/ckks.h"
 #include "fhe/kernels/kernels.h"
@@ -248,11 +250,75 @@ TEST(KernelElementwise, KskInnerProdMatchesBarrettMulThenAddMod)
                 }
                 std::vector<u64> got_b(n), got_a(n);
                 kt.kskInnerProd(got_b.data(), got_a.data(), dp.data(),
-                                kbp.data(), kap.data(), beta, n, bv);
+                                nullptr, kbp.data(), kap.data(), beta, n,
+                                bv);
                 EXPECT_EQ(got_b, want_b)
                     << kt.name << " beta=" << beta << " worst=" << worst;
                 EXPECT_EQ(got_a, want_a)
                     << kt.name << " beta=" << beta << " worst=" << worst;
+            }
+        }
+    }
+}
+
+TEST(KernelElementwise, KskInnerProdIndexedMatchesGatherThenInnerProduct)
+{
+    // The indexed inner product reads d[j][idx[c]]: it must equal a
+    // gather of every d row followed by the un-indexed kernel, byte for
+    // byte. Rows are N = 1024 long; only the first n = 1003 outputs are
+    // computed, so the SIMD loops end in a scalar tail.
+    Rng rng(9013);
+    const u64 big_n = 1024;
+    const u64 n = 1003;
+    const u64 q = (u64(1) << 60) - 93;
+    Modulus mod(q);
+    kernels::BarrettView bv{q, mod.barrettLo(), mod.barrettHi()};
+
+    std::vector<u64> random_perm(big_n);
+    for (u64 i = 0; i < big_n; ++i)
+        random_perm[i] = i;
+    for (u64 i = big_n - 1; i > 0; --i)
+        std::swap(random_perm[i], random_perm[rng.nextBounded(i + 1)]);
+    const std::vector<u64> aut_table =
+        evalAutomorphismTable(galoisElementForRotation(3, big_n), big_n);
+    const std::vector<u64> *idx_maps[] = {&aut_table, &random_perm};
+
+    for (u64 beta : {1u, 5u, 255u}) {
+        std::vector<std::vector<u64>> d(beta), kb(beta), ka(beta);
+        std::vector<const u64 *> dp(beta), kbp(beta), kap(beta);
+        for (u64 j = 0; j < beta; ++j) {
+            d[j] = randomCanonical(rng, big_n, q);
+            kb[j] = randomCanonical(rng, n, q);
+            ka[j] = randomCanonical(rng, n, q);
+            dp[j] = d[j].data();
+            kbp[j] = kb[j].data();
+            kap[j] = ka[j].data();
+        }
+        for (const std::vector<u64> *idx : idx_maps) {
+            for (kernels::Backend back : availableBackends()) {
+                const kernels::KernelTable &kt = tableFor(back);
+                std::vector<std::vector<u64>> moved(beta, std::vector<u64>(n));
+                std::vector<const u64 *> mp(beta);
+                for (u64 j = 0; j < beta; ++j) {
+                    kt.gather(moved[j].data(), d[j].data(), idx->data(), n);
+                    mp[j] = moved[j].data();
+                }
+                std::vector<u64> want_b(n), want_a(n), got_b(n), got_a(n);
+                kt.kskInnerProd(want_b.data(), want_a.data(), mp.data(),
+                                nullptr, kbp.data(), kap.data(), beta, n,
+                                bv);
+                kt.kskInnerProd(got_b.data(), got_a.data(), dp.data(),
+                                idx->data(), kbp.data(), kap.data(), beta,
+                                n, bv);
+                const bool aut = idx == &aut_table;
+                EXPECT_EQ(std::memcmp(got_b.data(), want_b.data(),
+                                      n * sizeof(u64)),
+                          0)
+                    << kt.name << " beta=" << beta << " aut=" << aut;
+                EXPECT_EQ(std::memcmp(got_a.data(), want_a.data(),
+                                      n * sizeof(u64)),
+                          0)
+                    << kt.name << " beta=" << beta << " aut=" << aut;
             }
         }
     }

@@ -9,12 +9,16 @@
  * triple-hoisted and Hybrid matvecs must match same-math oracles
  * bit-for-bit and decrypt to the reference within rounding noise; and
  * babySteps() must perform exactly the Decomp/ModUps babyStepCost()
- * charges. Suites carry the Kernel prefix so the CI sanitizer job's
- * gtest filter picks them up.
+ * charges; every strategy's matvec and baby steps must equal the
+ * materializing flow (eager ψ digit copies, mulPlain/add per diagonal)
+ * bit for bit; and a seeded encode/decode hash stays pinned. Suites
+ * carry the Kernel prefix so the CI sanitizer job's gtest filter picks
+ * them up.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "common/parallel.h"
@@ -598,6 +602,216 @@ TEST(KernelHybridBsgs, MatVecMatchesSameMathOracleAcrossBackendsAndThreads)
         for (u64 i = 0; i < dim; ++i)
             EXPECT_NEAR(got_dec[i].real(), expect[i], 5e-2)
                 << "r_hyb " << r_hyb << " slot " << i;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Every strategy against the materializing flow ptMatVecMult replaced:
+// hoisted digits permuted into eager ψ copies before the inner product,
+// and the plaintext sum formed by mulPlain/add per diagonal.
+// ---------------------------------------------------------------------------
+
+Ciphertext
+materializedHoistedRotate(const Evaluator &eval, const Ciphertext &ct,
+                          const std::vector<RnsPoly> &digits, i64 r,
+                          const KswKey &rk)
+{
+    const FheContext &ctx = eval.context();
+    const u64 g = galoisElementForRotation(r, ctx.n());
+    std::vector<RnsPoly> rotated;
+    for (const RnsPoly &d : digits)
+        rotated.push_back(applyAutomorphism(d, g));
+    auto [ip_b, ip_a] = eval.hoistedInnerProd(rotated, rk);
+    auto [ks_b, ks_a] = modDownEvalPair(ctx, ip_b, ip_a, ct.level);
+    Ciphertext out;
+    out.level = ct.level;
+    out.scale = ct.scale;
+    out.b = applyAutomorphism(ct.b, g);
+    out.b.addInplace(ks_b);
+    out.a = std::move(ks_a);
+    return out;
+}
+
+std::vector<Ciphertext>
+materializedBabySteps(const Evaluator &eval, const Ciphertext &ct, u32 n1,
+                      RotStrategy strategy, u32 r_hyb, const BsgsKeys &keys)
+{
+    std::vector<Ciphertext> out(n1);
+    out[0] = ct;
+    if (strategy == RotStrategy::MinKs) {
+        for (u32 i = 1; i < n1; ++i)
+            out[i] = eval.rotate(out[i - 1], 1, keys.rot.at(1));
+        return out;
+    }
+    // Hoisting and TripleHoisted are one coarse group of stride n1.
+    const u32 r = strategy == RotStrategy::Hybrid ? r_hyb : n1;
+    for (u32 c = 0; c < n1; c += r) {
+        if (c + r >= n1 && c + 1 >= n1)
+            break;
+        auto digits = eval.hoistedDecompModUp(out[c].a, out[c].level);
+        for (u32 f = 1; f < r && c + f < n1; ++f)
+            out[c + f] = materializedHoistedRotate(eval, out[c], digits, f,
+                                                   keys.rot.at(f));
+        if (c + r < n1)
+            out[c + r] = materializedHoistedRotate(eval, out[c], digits, r,
+                                                   keys.rot.at(r));
+    }
+    return out;
+}
+
+Ciphertext
+materializedMatVec(const Evaluator &eval, const Ciphertext &ct,
+                   const std::vector<std::vector<double>> &diagonals, u32 n1,
+                   u32 n2, RotStrategy strategy, u32 r_hyb,
+                   const BsgsKeys &keys)
+{
+    const FheContext &ctx = eval.context();
+    const u64 slots = ctx.n() / 2;
+    auto cts = materializedBabySteps(eval, ct, n1, strategy, r_hyb, keys);
+    bool have_acc = false;
+    RnsPoly acc_b, acc_a;
+    Ciphertext out;
+    for (u32 j = 0; j < n2; ++j) {
+        const u64 stride = static_cast<u64>(n1) * j;
+        Ciphertext r;
+        for (u32 i = 0; i < n1; ++i) {
+            std::vector<double> diag(slots);
+            for (u64 k = 0; k < slots; ++k)
+                diag[(k + stride) % slots] = diagonals[stride + i][k];
+            Ciphertext term = eval.mulPlain(
+                cts[i], eval.encoder().encodeReal(diag, cts[i].level));
+            r = i == 0 ? std::move(term) : eval.add(r, term);
+        }
+        if (j > 0) {
+            const KswKey &gk = keys.rot.at(static_cast<i64>(stride));
+            if (strategy == RotStrategy::TripleHoisted) {
+                const u64 g =
+                    galoisElementForRotation(static_cast<i64>(stride), ctx.n());
+                std::vector<RnsPoly> rotated;
+                for (const RnsPoly &d : eval.hoistedDecompModUp(r.a, r.level))
+                    rotated.push_back(applyAutomorphism(d, g));
+                auto [ip_b, ip_a] = eval.hoistedInnerProd(rotated, gk);
+                if (!have_acc) {
+                    acc_b = std::move(ip_b);
+                    acc_a = std::move(ip_a);
+                    have_acc = true;
+                } else {
+                    acc_b.addInplace(ip_b);
+                    acc_a.addInplace(ip_a);
+                }
+                r.b = applyAutomorphism(r.b, g);
+                r.a = RnsPoly(ctx, ctx.qBasis(r.level), Rep::Eval);
+            } else {
+                r = eval.rotate(r, static_cast<i64>(stride), gk);
+            }
+        }
+        out = j == 0 ? std::move(r) : eval.add(out, r);
+    }
+    if (have_acc) {
+        auto [md_b, md_a] = modDownEvalPair(ctx, acc_b, acc_a, out.level);
+        out.b.addInplace(md_b);
+        out.a.addInplace(md_a);
+    }
+    return eval.rescale(out);
+}
+
+TEST(KernelBsgsDataflow, MatVecAndBabyStepsMatchMaterializedOracle)
+{
+    BackendScope backend_scope;
+    auto &s = bsgsState();
+    const u32 n1 = 4, n2 = 2;
+    const u64 dim = n1 * n2;
+    Rng rng(9006);
+
+    std::vector<std::vector<double>> m(dim, std::vector<double>(dim));
+    for (auto &row : m)
+        for (auto &e : row)
+            e = rng.nextDouble() * 2 - 1;
+    const u64 slots = s.ctx.n() / 2;
+    std::vector<double> x_tiled(slots);
+    for (u64 i = 0; i < slots; ++i)
+        x_tiled[i] = rng.nextDouble() * 2 - 1;
+    auto diags = matrixDiagonals(m, slots);
+    auto ct = s.eval.encrypt(s.eval.encoder().encodeReal(x_tiled, 3), s.pk);
+
+    const struct
+    {
+        RotStrategy strategy;
+        u32 rHyb;
+    } kCases[] = {
+        {RotStrategy::MinKs, 1},  {RotStrategy::Hoisting, 1},
+        {RotStrategy::Hybrid, 2}, {RotStrategy::Hybrid, 3},
+        {RotStrategy::Hybrid, 4}, {RotStrategy::TripleHoisted, 1},
+    };
+    for (const auto &c : kCases) {
+        const int st = static_cast<int>(c.strategy);
+        auto keys = s.keysFor(n1, n2, c.strategy, c.rHyb);
+        kernels::setBackend(kernels::Backend::Scalar);
+        ThreadPool::setGlobalThreads(1);
+        const auto want_steps = materializedBabySteps(s.eval, ct, n1,
+                                                      c.strategy, c.rHyb, keys);
+        const Ciphertext want = materializedMatVec(s.eval, ct, diags, n1, n2,
+                                                   c.strategy, c.rHyb, keys);
+        for (u32 threads : {1u, 2u, 8u}) {
+            ThreadPool::setGlobalThreads(threads);
+            for (kernels::Backend b : availableBackends()) {
+                kernels::setBackend(b);
+                SCOPED_TRACE(testing::Message()
+                             << "strategy " << st << " r_hyb " << c.rHyb
+                             << " threads " << threads << " backend "
+                             << kernels::backendName(b));
+                auto steps =
+                    babySteps(s.eval, ct, n1, c.strategy, c.rHyb, keys);
+                ASSERT_EQ(steps.size(), want_steps.size());
+                for (u32 i = 0; i < n1; ++i) {
+                    expectPolysEqual(steps[i].b, want_steps[i].b, "baby b");
+                    expectPolysEqual(steps[i].a, want_steps[i].a, "baby a");
+                }
+                Ciphertext got = ptMatVecMult(s.eval, ct, diags, n1, n2,
+                                              c.strategy, c.rHyb, keys);
+                EXPECT_EQ(got.level, want.level);
+                EXPECT_EQ(got.scale, want.scale);
+                expectPolysEqual(got.b, want.b, "matvec b");
+                expectPolysEqual(got.a, want.a, "matvec a");
+            }
+        }
+    }
+    ThreadPool::setGlobalThreads(0);
+}
+
+// ---------------------------------------------------------------------------
+// Encode/decode hash: pins the special FFT's twiddles and butterfly
+// order, together with the CRT decode, on a seeded vector. The value was
+// computed by the per-butterfly-index FFT this table-driven one replaced.
+// It holds for the baseline x86-64 target (Release and RelWithDebInfo).
+// Built with -march=native, the encoder's floating-point code lands on
+// other low bits, the old FFT's as much as this one's, so the pin does
+// not apply there.
+// ---------------------------------------------------------------------------
+
+TEST(KernelEncoding, EncodeDecodeHashIsPinned)
+{
+#ifdef __AVX__
+    GTEST_SKIP() << "hash pinned for the baseline x86-64 target";
+#endif
+    BackendScope backend_scope;
+    const FheContext &ctx = smallContext();
+    Encoder enc(ctx);
+    Rng rng(4242);
+    std::vector<double> v(ctx.n() / 2);
+    for (auto &x : v)
+        x = rng.nextDouble() * 2 - 1;
+    for (kernels::Backend b : availableBackends()) {
+        kernels::setBackend(b);
+        Plaintext pt = enc.encodeReal(v, ctx.maxLevel());
+        u64 h = hashPoly(pt.poly);
+        for (const Cplx &z : enc.decode(pt)) {
+            const double parts[2] = {z.real(), z.imag()};
+            u64 bits[2];
+            std::memcpy(bits, parts, sizeof bits);
+            h = fnv1a(h, bits, 2);
+        }
+        EXPECT_EQ(h, 142988836448945076ull) << kernels::backendName(b);
     }
 }
 
