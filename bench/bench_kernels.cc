@@ -10,7 +10,8 @@
  * combined win of SIMD + fusion over the seed semantics.
  *
  * Flags:
- *   --kernel scalar|avx2|avx512|auto  restrict to one backend (+ baseline)
+ *   --kernel NAME                     restrict to one backend (+ baseline):
+ *                                     scalar|avx2|avx512|avx512ifma|auto
  *   --json <path>                     write BENCH_kernels.json-style output
  *   --smoke                           fast mode for CI (few iterations)
  *   --digest                          print FNV-1a output hashes, no timing
@@ -97,56 +98,57 @@ timeOp(const std::function<void()> &op)
 struct Result
 {
     std::string bench;    ///< fwd_ntt | inv_ntt | bconv | mod_up | ...
-    std::string backend;  ///< reference | scalar | avx2 | avx512
+    std::string backend;  ///< reference | a backend name | a strategy
     u64 n;
     u64 limbs;  ///< batch size / limb count; 0 when not applicable
+    u32 bits;   ///< prime size; the widest modulus for CKKS-context rows
     double ns_per_op;
-    double speedup;  ///< vs the "reference" row of the same (bench, n, limbs)
+    double speedup;  ///< vs the "reference" row of the same bench/n/limbs/bits
     std::string kernel;  ///< kernel backend active while the row was timed
 };
 
 std::vector<Result> g_results;
 
+/** Bit size of the widest modulus of the (default-sized) CKKS contexts. */
+const u32 kContextBits = [] {
+    const FheContextParams p;
+    return std::max({p.firstModulusBits, p.scalingModulusBits,
+                     p.specialModulusBits});
+}();
+
 void
 record(const std::string &bench, const std::string &backend, u64 n, u64 limbs,
-       double ns)
+       u32 bits, double ns)
 {
     double base = 0;
     for (const Result &r : g_results)
         if (r.bench == bench && r.n == n && r.limbs == limbs &&
-            r.backend == "reference")
+            r.bits == bits && r.backend == "reference")
             base = r.ns_per_op;
     double speedup = base > 0 ? base / ns : 1.0;
-    g_results.push_back(
-        {bench, backend, n, limbs, ns, speedup, kernels::table().name});
-    std::printf("  %-14s  %-9s  n=%-6llu limbs=%-2llu  %12.1f ns/op"
+    g_results.push_back({bench, backend, n, limbs, bits, ns, speedup,
+                         kernels::table().name});
+    std::printf("  %-14s  %-10s  n=%-6llu limbs=%-2llu bits=%-2u  %12.1f ns/op"
                 "  speedup %5.2fx\n",
                 bench.c_str(), backend.c_str(),
                 static_cast<unsigned long long>(n),
-                static_cast<unsigned long long>(limbs), ns, speedup);
+                static_cast<unsigned long long>(limbs), bits, ns, speedup);
 }
 
 std::vector<kernels::Backend>
 selectedBackends(const std::string &only)
 {
-    std::vector<kernels::Backend> all = {kernels::Backend::Scalar,
-                                         kernels::Backend::Avx2,
-                                         kernels::Backend::Avx512};
     // An explicit --kernel restricts the sweep to that backend; "auto"
-    // resolves to the widest available one. Unknown spellings throw.
-    if (!only.empty()) {
-        kernels::Backend want = kernels::parseBackend(only);
-        if (!kernels::available(want))
-            throw RecoverableError(std::string("backend '") +
-                                   kernels::backendName(want) +
-                                   "' is not available on this CPU");
-        return {want};
-    }
-    std::vector<kernels::Backend> out;
-    for (kernels::Backend b : all)
-        if (kernels::available(b))
-            out.push_back(b);
-    return out;
+    // resolves to the most preferred available one. Unknown spellings
+    // throw.
+    if (only.empty())
+        return kernels::availableBackends();
+    kernels::Backend want = kernels::parseBackend(only);
+    if (!kernels::available(want))
+        throw RecoverableError(std::string("backend '") +
+                               kernels::backendName(want) +
+                               "' is not available on this CPU");
+    return {want};
 }
 
 void
@@ -154,8 +156,11 @@ benchNtt(const std::vector<kernels::Backend> &backends)
 {
     std::printf("\n===== NTT kernels =====\n");
     Rng rng(123);
-    for (u64 n : {u64(1) << 14, u64(1) << 15, u64(1) << 16}) {
-        u64 q = generateNttPrimes(59, n, 1)[0];
+    // 50 bits: the CKKS library's moduli; 59 bits: the kernels' headroom
+    // (past the 52-bit multiplier, so avx512ifma runs its avx512 entries).
+    for (u64 n : {u64(1) << 14, u64(1) << 15, u64(1) << 16})
+    for (u32 bits : {50u, 59u}) {
+        u64 q = generateNttPrimes(bits, n, 1)[0];
         Modulus mod(q);
         NttTables tables(n, mod);
         kernels::NttView fwd = tables.forwardView();
@@ -167,18 +172,18 @@ benchNtt(const std::vector<kernels::Backend> &backends)
         std::vector<u64> buf = base;
 
         kernels::setBackend(kernels::Backend::Scalar);  // the seed is scalar
-        record("fwd_ntt", "reference", n, 1,
+        record("fwd_ntt", "reference", n, 1, bits,
                timeOp([&] { kernels::referenceFwdNtt(buf.data(), fwd); }));
-        record("inv_ntt", "reference", n, 1,
+        record("inv_ntt", "reference", n, 1, bits,
                timeOp([&] { kernels::referenceInvNtt(buf.data(), inv); }));
 
         for (kernels::Backend b : backends) {
             kernels::setBackend(b);
             const kernels::KernelTable &kt = kernels::table();
             buf = base;
-            record("fwd_ntt", kt.name, n, 1,
+            record("fwd_ntt", kt.name, n, 1, bits,
                    timeOp([&] { kt.fwdNtt(buf.data(), fwd); }));
-            record("inv_ntt", kt.name, n, 1,
+            record("inv_ntt", kt.name, n, 1, bits,
                    timeOp([&] { kt.invNtt(buf.data(), inv); }));
         }
     }
@@ -190,37 +195,41 @@ benchNttBatch(const std::vector<kernels::Backend> &backends)
     std::printf("\n===== Batched NTT (8 limbs, autotuned tile) =====\n");
     const u64 n = u64(1) << 14;
     const u64 batch = 8;
-    u64 q = generateNttPrimes(59, n, 1)[0];
-    Modulus mod(q);
-    NttTables tables(n, mod);
+    for (u32 bits : {50u, 59u}) {
+        u64 q = generateNttPrimes(bits, n, 1)[0];
+        Modulus mod(q);
+        NttTables tables(n, mod);
 
-    Rng rng(124);
-    std::vector<std::vector<u64>> data(batch, std::vector<u64>(n));
-    std::vector<u64 *> polys(batch);
-    for (u64 i = 0; i < batch; ++i) {
-        for (auto &x : data[i])
-            x = rng.nextBounded(q);
-        polys[i] = data[i].data();
-    }
+        Rng rng(124);
+        std::vector<std::vector<u64>> data(batch, std::vector<u64>(n));
+        std::vector<u64 *> polys(batch);
+        for (u64 i = 0; i < batch; ++i) {
+            for (auto &x : data[i])
+                x = rng.nextBounded(q);
+            polys[i] = data[i].data();
+        }
 
-    kernels::NttView fwd = tables.forwardView();
-    kernels::NttView inv = tables.inverseView();
-    kernels::setBackend(kernels::Backend::Scalar);  // the seed is scalar
-    record("fwd_ntt_batch", "reference", n, batch, timeOp([&] {
-               for (u64 i = 0; i < batch; ++i)
-                   kernels::referenceFwdNtt(polys[i], fwd);
-           }));
-    record("inv_ntt_batch", "reference", n, batch, timeOp([&] {
-               for (u64 i = 0; i < batch; ++i)
-                   kernels::referenceInvNtt(polys[i], inv);
-           }));
-    for (kernels::Backend b : backends) {
-        kernels::setBackend(b);
-        const char *name = kernels::table().name;
-        record("fwd_ntt_batch", name, n, batch,
-               timeOp([&] { tables.forwardBatched(polys.data(), batch); }));
-        record("inv_ntt_batch", name, n, batch,
-               timeOp([&] { tables.inverseBatched(polys.data(), batch); }));
+        kernels::NttView fwd = tables.forwardView();
+        kernels::NttView inv = tables.inverseView();
+        kernels::setBackend(kernels::Backend::Scalar);  // the seed is scalar
+        record("fwd_ntt_batch", "reference", n, batch, bits, timeOp([&] {
+                   for (u64 i = 0; i < batch; ++i)
+                       kernels::referenceFwdNtt(polys[i], fwd);
+               }));
+        record("inv_ntt_batch", "reference", n, batch, bits, timeOp([&] {
+                   for (u64 i = 0; i < batch; ++i)
+                       kernels::referenceInvNtt(polys[i], inv);
+               }));
+        for (kernels::Backend b : backends) {
+            kernels::setBackend(b);
+            const char *name = kernels::table().name;
+            record("fwd_ntt_batch", name, n, batch, bits, timeOp([&] {
+                       tables.forwardBatched(polys.data(), batch);
+                   }));
+            record("inv_ntt_batch", name, n, batch, bits, timeOp([&] {
+                       tables.inverseBatched(polys.data(), batch);
+                   }));
+        }
     }
 }
 
@@ -242,13 +251,14 @@ benchBconv(const std::vector<kernels::Backend> &backends)
 
         // The seed had no separate BConv kernel; scalar is the baseline.
         kernels::setBackend(kernels::Backend::Scalar);
-        record("bconv", "reference", ctx.n(), limbs, timeOp([&] {
+        record("bconv", "reference", ctx.n(), limbs, kContextBits, timeOp([&] {
                    RnsPoly out = conv.convert(in);
                    (void)out;
                }));
         for (kernels::Backend b : backends) {
             kernels::setBackend(b);
-            record("bconv", kernels::table().name, ctx.n(), limbs, timeOp([&] {
+            record("bconv", kernels::table().name, ctx.n(), limbs, kContextBits,
+                   timeOp([&] {
                        RnsPoly out = conv.convert(in);
                        (void)out;
                    }));
@@ -320,13 +330,14 @@ benchModUpDown(const std::vector<kernels::Backend> &backends)
     // ModUp of digit 0, unfused (Coeff in, whole-basis NTT out) vs fused
     // (Eval in, only converted limbs transformed).
     kernels::setBackend(kernels::Backend::Scalar);
-    record("mod_up", "reference", ctx.n(), limbs, timeOp([&] {
+    record("mod_up", "reference", ctx.n(), limbs, kContextBits, timeOp([&] {
                RnsPoly up = modUpDigit(ctx, d_coeff, 0, level);
                up.toEval();
            }));
     for (kernels::Backend b : backends) {
         kernels::setBackend(b);
-        record("mod_up", kernels::table().name, ctx.n(), limbs, timeOp([&] {
+        record("mod_up", kernels::table().name, ctx.n(), limbs, kContextBits,
+               timeOp([&] {
                    RnsPoly up = fusedModUpEval(ctx, d, d_coeff, 0, level);
                    (void)up;
                }));
@@ -342,7 +353,7 @@ benchModUpDown(const std::vector<kernels::Backend> &backends)
     acc_a.uniformRandom(rng);
 
     kernels::setBackend(kernels::Backend::Scalar);
-    record("mod_down", "reference", ctx.n(), limbs, timeOp([&] {
+    record("mod_down", "reference", ctx.n(), limbs, kContextBits, timeOp([&] {
                RnsPoly cb = acc_b;
                RnsPoly ca = acc_a;
                cb.toCoeff();
@@ -354,7 +365,8 @@ benchModUpDown(const std::vector<kernels::Backend> &backends)
            }));
     for (kernels::Backend b : backends) {
         kernels::setBackend(b);
-        record("mod_down", kernels::table().name, ctx.n(), limbs, timeOp([&] {
+        record("mod_down", kernels::table().name, ctx.n(), limbs, kContextBits,
+               timeOp([&] {
                    auto out = modDownEvalPair(ctx, acc_b, acc_a, level);
                    (void)out;
                }));
@@ -372,14 +384,15 @@ benchKeySwitch(const std::vector<kernels::Backend> &backends)
     // and the unfused Decomp→ModUp→KSKInP→ModDown flow, so backend rows
     // report the combined SIMD + fusion + batching speedup.
     kernels::setBackend(kernels::Backend::Scalar);
-    record("key_switch", "reference", fx.ctx.n(), limbs, timeOp([&] {
+    record("key_switch", "reference", fx.ctx.n(), limbs, kContextBits,
+           timeOp([&] {
                Ciphertext out = fx.rotateUnfused();
                (void)out;
            }));
     for (kernels::Backend b : backends) {
         kernels::setBackend(b);
         record("key_switch", kernels::table().name, fx.ctx.n(), limbs,
-               timeOp([&] {
+               kContextBits, timeOp([&] {
                    Ciphertext out = fx.eval.rotate(fx.ct, 1, fx.rk1);
                    (void)out;
                }));
@@ -391,8 +404,8 @@ benchBsgsMatVec(const std::vector<kernels::Backend> &backends)
 {
     std::printf("\n===== BSGS PtMatVecMult (rotation strategies) =====\n");
     // The sweep axis here is the rotation strategy, not the backend: all
-    // rows run on the widest selected backend, and the reference row is
-    // the Min-KS chain (the ARK-style baseline strategy).
+    // rows run on the most preferred selected backend, and the reference
+    // row is the Min-KS chain (the ARK-style baseline strategy).
     const u64 n = u64(1) << 13;
     KsFixture fx(n);
     const u32 n1 = 8, n2 = 8;
@@ -449,7 +462,7 @@ benchBsgsMatVec(const std::vector<kernels::Backend> &backends)
     for (u64 v = 0; v < kRows; ++v) {
         std::sort(ns[v].begin(), ns[v].end());
         record("bsgs_matvec", kStrategies[v].row, fx.ctx.n(), n1,
-               ns[v][ns[v].size() / 2]);
+               kContextBits, ns[v][ns[v].size() / 2]);
     }
 }
 
@@ -611,12 +624,13 @@ writeJson(const std::string &path)
         const Result &r = g_results[i];
         std::fprintf(f,
                      "    {\"bench\": \"%s\", \"backend\": \"%s\", "
-                     "\"n\": %llu, \"limbs\": %llu, "
+                     "\"n\": %llu, \"limbs\": %llu, \"bits\": %u, "
                      "\"ns_per_op\": %.1f, \"speedup_vs_reference\": %.3f, "
                      "\"kernel\": \"%s\"}%s\n",
                      r.bench.c_str(), r.backend.c_str(),
                      static_cast<unsigned long long>(r.n),
-                     static_cast<unsigned long long>(r.limbs), r.ns_per_op,
+                     static_cast<unsigned long long>(r.limbs), r.bits,
+                     r.ns_per_op,
                      r.speedup, r.kernel.c_str(),
                      i + 1 < g_results.size() ? "," : "");
     }

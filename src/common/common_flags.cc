@@ -24,8 +24,10 @@ CommonFlags::registerInto(FlagParser &parser, u32 want)
     }
     if (want & kKernel)
         parser.addString("--kernel", "NAME", &kernelName,
-                         "kernel backend: scalar|avx2|avx512|auto "
-                         "(default $CROPHE_KERNEL or widest available)");
+                         "kernel backend: "
+                         "scalar|avx2|avx512|avx512ifma|auto "
+                         "(default $CROPHE_KERNEL or the most preferred "
+                         "available)");
     if (want & kSeed)
         parser.addUint("--seed", &seed, "workload RNG seed");
 }

@@ -41,7 +41,7 @@ struct CommonFlags
         kStatsOut = 1u << 1,   ///< --stats-out FILE (JSON stats dump)
         kTraceOut = 1u << 2,   ///< --trace-out FILE (event trace)
         kPlanCache = 1u << 3,  ///< --plan-cache DIR (schedule cache)
-        kKernel = 1u << 4,     ///< --kernel B (scalar|avx2|avx512|auto)
+        kKernel = 1u << 4,     ///< --kernel B (kernels::parseBackend)
         kSeed = 1u << 5,       ///< --seed N (workload RNG seed)
     };
 

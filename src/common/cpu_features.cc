@@ -15,6 +15,7 @@ detect()
     // and conversions; both must be present.
     f.avx512 = __builtin_cpu_supports("avx512f") != 0 &&
                __builtin_cpu_supports("avx512dq") != 0;
+    f.avx512ifma = f.avx512 && __builtin_cpu_supports("avx512ifma") != 0;
 #endif
     return f;
 }

@@ -20,6 +20,9 @@ struct CpuFeatures
 {
     bool avx2 = false;    ///< AVX2 (256-bit integer ops)
     bool avx512 = false;  ///< AVX-512 F+DQ (512-bit ops + 64-bit mullo)
+    /// AVX-512 IFMA (CPUID 7.0:EBX[21], 52-bit multiply-accumulate) on
+    /// top of avx512
+    bool avx512ifma = false;
 };
 
 /** The host's capabilities; the cpuid query runs once per process. */

@@ -116,8 +116,8 @@ BaseConverter::convertInto(const RnsPoly &in, u64 *const *dst_rows) const
                          m, cnt, mhatInv_.data(), mhatInvShoup_.data(),
                          fromQ_.data(), invM_.data());
             for (u32 j = 0; j < t; ++j) {
-                kt.bconvOut(dst_rows[j] + tile, xhat,
-                            kTileCoeffs, m, cnt,
+                kt.bconvOut(dst_rows[j] + tile, xhat, kTileCoeffs, m, cnt,
+                            fromQ_.data(),
                             mhatModT_.data() + static_cast<std::size_t>(j) * m,
                             vest, mModT_[j], toView_[j]);
             }

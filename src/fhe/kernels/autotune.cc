@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -59,53 +60,23 @@ hostDigest()
     u64 bits = kKernelVersion;
     bits = (bits << 1) | (cpuFeatures().avx2 ? 1 : 0);
     bits = (bits << 1) | (cpuFeatures().avx512 ? 1 : 0);
+    bits = (bits << 1) | (cpuFeatures().avx512ifma ? 1 : 0);
 #ifdef CROPHE_HAVE_AVX2
     bits = (bits << 1) | 1;
 #else
     bits <<= 1;
 #endif
 #ifdef CROPHE_HAVE_AVX512
+    bits = (bits << 1) | 1;
+#else
+    bits <<= 1;
+#endif
+#ifdef CROPHE_HAVE_AVX512IFMA
     bits = (bits << 1) | 1;
 #else
     bits <<= 1;
 #endif
     return fnv1a(h, &bits, sizeof bits);
-}
-
-const KernelTable *
-tableForBackend(Backend b)
-{
-    switch (b) {
-    case Backend::Scalar:
-        return &scalarTable();
-    case Backend::Avx2:
-#ifdef CROPHE_HAVE_AVX2
-        return available(Backend::Avx2) ? &avx2Table() : nullptr;
-#else
-        return nullptr;
-#endif
-    case Backend::Avx512:
-#ifdef CROPHE_HAVE_AVX512
-        return available(Backend::Avx512) ? &avx512Table() : nullptr;
-#else
-        return nullptr;
-#endif
-    }
-    return nullptr;
-}
-
-bool
-backendFromName(const std::string &name, Backend *out)
-{
-    if (name == "scalar")
-        *out = Backend::Scalar;
-    else if (name == "avx2")
-        *out = Backend::Avx2;
-    else if (name == "avx512")
-        *out = Backend::Avx512;
-    else
-        return false;
-    return true;
 }
 
 u64
@@ -185,7 +156,7 @@ Autotuner::prepare(u64 n)
 u32
 Autotuner::tuneLocked(u64 n, u64 limbs, Backend b)
 {
-    const KernelTable *kt = tableForBackend(b);
+    const KernelTable *kt = tableFor(b);
     if (kt == nullptr || n < 8)
         return 1;
 
@@ -279,11 +250,10 @@ Autotuner::loadLocked()
             std::string backend;
             u32 tile = 0;
             ls >> n >> limbs >> backend >> tile;
-            Backend b;
-            ok = !ls.fail() && backendFromName(backend, &b) && tile >= 1 &&
-                 tile <= 64;
+            std::optional<Backend> b = backendByName(backend);
+            ok = !ls.fail() && b && tile >= 1 && tile <= 64;
             if (ok)
-                parsed[{n, limbs, static_cast<u8>(b)}] = tile;
+                parsed[{n, limbs, static_cast<u8>(*b)}] = tile;
         } else {
             ok = false;
         }

@@ -12,36 +12,22 @@ namespace crophe::fhe::kernels {
 
 namespace {
 
-const KernelTable *
-tableFor(Backend b)
+/** The one name table, in order of preference (most preferred last). */
+constexpr struct
 {
-    switch (b) {
-    case Backend::Scalar:
-        return &scalarTable();
-    case Backend::Avx2:
-#ifdef CROPHE_HAVE_AVX2
-        return &avx2Table();
-#else
-        return nullptr;
-#endif
-    case Backend::Avx512:
-#ifdef CROPHE_HAVE_AVX512
-        return &avx512Table();
-#else
-        return nullptr;
-#endif
-    }
-    return nullptr;
-}
+    Backend backend;
+    const char *name;
+} kBackends[] = {
+    {Backend::Scalar, "scalar"},
+    {Backend::Avx2, "avx2"},
+    {Backend::Avx512, "avx512"},
+    {Backend::Avx512Ifma, "avx512ifma"},
+};
 
 Backend
-widestAvailable()
+mostPreferredAvailable()
 {
-    if (available(Backend::Avx512))
-        return Backend::Avx512;
-    if (available(Backend::Avx2))
-        return Backend::Avx2;
-    return Backend::Scalar;
+    return availableBackends().back();
 }
 
 struct Active
@@ -60,31 +46,37 @@ active()
 bool
 parseName(const std::string &name, Backend *out)
 {
-    if (name == "scalar")
-        *out = Backend::Scalar;
-    else if (name == "avx2")
-        *out = Backend::Avx2;
-    else if (name == "avx512")
-        *out = Backend::Avx512;
-    else if (name == "auto")
-        *out = widestAvailable();
-    else
-        return false;
-    return true;
+    if (name == "auto") {
+        *out = mostPreferredAvailable();
+        return true;
+    }
+    std::optional<Backend> b = backendByName(name);
+    if (b)
+        *out = *b;
+    return b.has_value();
 }
 
-/** One-time default selection: CROPHE_KERNEL env, else widest ISA. */
+/** "scalar|avx2|...|auto", for diagnostics. */
+std::string
+spellings()
+{
+    std::string s;
+    for (const auto &e : kBackends)
+        s += std::string(e.name) + "|";
+    return s + "auto";
+}
+
+/** One-time default selection: CROPHE_KERNEL env, else most preferred. */
 const KernelTable *
 resolveDefault()
 {
-    Backend b = widestAvailable();
+    Backend b = mostPreferredAvailable();
     if (const char *env = std::getenv("CROPHE_KERNEL")) {
         Backend requested;
         if (!parseName(env, &requested)) {
             CROPHE_WARN_ONCE("CROPHE_KERNEL=", env,
-                             " is not a backend name "
-                             "(scalar|avx2|avx512|auto); using ",
-                             backendName(b));
+                             " is not a backend name (", spellings(),
+                             "); using ", backendName(b));
         } else if (!available(requested)) {
             CROPHE_WARN_ONCE("CROPHE_KERNEL=", env,
                              " is unavailable on this host/binary; "
@@ -99,6 +91,29 @@ resolveDefault()
 }
 
 }  // namespace
+
+const KernelTable *
+tableFor(Backend b)
+{
+    switch (b) {
+    case Backend::Scalar:
+        return &scalarTable();
+#ifdef CROPHE_HAVE_AVX2
+    case Backend::Avx2:
+        return cpuFeatures().avx2 ? &avx2Table() : nullptr;
+#endif
+#ifdef CROPHE_HAVE_AVX512
+    case Backend::Avx512:
+        return cpuFeatures().avx512 ? &avx512Table() : nullptr;
+#endif
+#ifdef CROPHE_HAVE_AVX512IFMA
+    case Backend::Avx512Ifma:
+        return cpuFeatures().avx512ifma ? &avx512ifmaTable() : nullptr;
+#endif
+    default:  // not compiled into this binary
+        return nullptr;
+    }
+}
 
 const KernelTable &
 table()
@@ -121,17 +136,17 @@ activeBackend()
 bool
 available(Backend b)
 {
-    if (tableFor(b) == nullptr)
-        return false;
-    switch (b) {
-    case Backend::Scalar:
-        return true;
-    case Backend::Avx2:
-        return cpuFeatures().avx2;
-    case Backend::Avx512:
-        return cpuFeatures().avx512;
-    }
-    return false;
+    return tableFor(b) != nullptr;
+}
+
+std::vector<Backend>
+availableBackends()
+{
+    std::vector<Backend> out;
+    for (const auto &e : kBackends)
+        if (available(e.backend))
+            out.push_back(e.backend);
+    return out;
 }
 
 void
@@ -143,13 +158,22 @@ setBackend(Backend b)
     active().table.store(tableFor(b), std::memory_order_release);
 }
 
+std::optional<Backend>
+backendByName(const std::string &name)
+{
+    for (const auto &e : kBackends)
+        if (name == e.name)
+            return e.backend;
+    return std::nullopt;
+}
+
 Backend
 parseBackend(const std::string &name)
 {
     Backend b;
     if (!parseName(name, &b))
         throw RecoverableError("unknown kernel backend '" + name +
-                               "' (expected scalar|avx2|avx512|auto)");
+                               "' (expected " + spellings() + ")");
     return b;
 }
 
@@ -157,7 +181,7 @@ void
 requestBackend(Backend b)
 {
     if (!available(b)) {
-        Backend fallback = widestAvailable();
+        Backend fallback = mostPreferredAvailable();
         CROPHE_WARN_ONCE("kernel backend '", backendName(b),
                          "' unavailable on this host/binary; "
                          "falling back to ",
@@ -214,14 +238,9 @@ invNttBatched(const KernelTable &kt, u64 *const *polys, u64 count,
 const char *
 backendName(Backend b)
 {
-    switch (b) {
-    case Backend::Scalar:
-        return "scalar";
-    case Backend::Avx2:
-        return "avx2";
-    case Backend::Avx512:
-        return "avx512";
-    }
+    for (const auto &e : kBackends)
+        if (e.backend == b)
+            return e.name;
     return "?";
 }
 

@@ -8,28 +8,34 @@
  * Every hot loop of the functional CKKS library — NTT butterflies,
  * element-wise limb ops, the BConv and key-switch inner products,
  * automorphism gathers — funnels through this table of function
- * pointers. Three backends implement the table:
+ * pointers. Four backends implement the table:
  *
- *   - scalar:  portable C++, Harvey lazy reduction, always available;
- *   - avx2:    4-wide 256-bit kernels (64x64 multiplies assembled from
- *              vpmuludq partial products);
- *   - avx512:  8-wide 512-bit kernels (AVX-512F + DQ).
+ *   - scalar:      portable C++, Harvey lazy reduction, always available;
+ *   - avx2:        4-wide 256-bit kernels (64x64 multiplies assembled from
+ *                  vpmuludq partial products);
+ *   - avx512:      8-wide 512-bit kernels (AVX-512F + DQ);
+ *   - avx512ifma:  the avx512 table with its multiply-heavy entries
+ *                  rebuilt on 52-bit vpmadd52luq/vpmadd52huq for moduli
+ *                  below 2^50 (larger moduli take the avx512 entries).
  *
  * The active backend is chosen once per process: an explicit
  * setBackend()/setBackendByName() call (the --kernel flag) wins, then
- * the CROPHE_KERNEL environment variable, then the widest ISA the host
- * supports. Every backend is bit-identical: all kernels produce
- * canonical (fully reduced) outputs, lazy reduction is an internal
- * invariant only, and the BConv float-quotient estimate performs its
- * additions in a fixed order with contraction pinned off — so switching
- * backends, or machines, never changes a single limb.
+ * the CROPHE_KERNEL environment variable, then the most preferred
+ * backend (the last in the list above) the host supports. Every backend
+ * is bit-identical: all kernels produce canonical (fully reduced)
+ * outputs, lazy reduction is an internal invariant only, and the BConv
+ * float-quotient estimate performs its additions in a fixed order with
+ * contraction pinned off — so switching backends, or machines, never
+ * changes a single limb.
  *
  * Values are u64 residues below 2^60 moduli, which leaves the headroom
  * the lazy NTT needs ([0,4q) fits in 62 bits) and lets comparisons use
  * signed vector instructions.
  */
 
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/types.h"
 
@@ -41,6 +47,7 @@ enum class Backend : u8
     Scalar = 0,
     Avx2 = 1,
     Avx512 = 2,
+    Avx512Ifma = 3,
 };
 
 /**
@@ -88,7 +95,7 @@ struct KernelTable
     void (*subMod)(u64 *dst, const u64 *src, u64 n, u64 q);
     /** dst[i] = (-dst[i]) mod q. */
     void (*negMod)(u64 *dst, u64 n, u64 q);
-    /** dst[i] = dst[i]·src[i] mod q via two-word Barrett. */
+    /** dst[i] = dst[i]·src[i] mod q (two-word Barrett); inputs canonical. */
     void (*mulModBarrett)(u64 *dst, const u64 *src, u64 n,
                           const BarrettView &q);
     /** dst[i] = dst[i]·w mod q via Shoup; requires w < q, dst canonical. */
@@ -114,17 +121,21 @@ struct KernelTable
      *   s = (Σ_i xhat[i·xhatStride + c]·w[i]) mod q   (exact 128-bit sum)
      *   out[c] = s - floor(vest[c])·mModT mod q.
      * Requires m < 256 so the 128-bit accumulator cannot overflow.
+     * qFrom holds the m source moduli (xhat row i is canonical mod
+     * qFrom[i]); only a backend whose multiplier is narrower than 64
+     * bits reads it, to tell whether every xhat fits that multiplier.
      */
     void (*bconvOut)(u64 *out, const u64 *xhat, u64 xhatStride, u64 m,
-                     u64 cnt, const u64 *w, const double *vest, u64 mModT,
-                     const BarrettView &q);
+                     u64 cnt, const u64 *qFrom, const u64 *w,
+                     const double *vest, u64 mModT, const BarrettView &q);
 
     /**
      * Key-switch inner product (KSKInP) of one limb, output-stationary:
      * for each coefficient c, with s = idx ? idx[c] : c,
      *   accB[c] = (Σ_j d[j][s]·kb[j][c]) mod q
      *   accA[c] = (Σ_j d[j][s]·ka[j][c]) mod q
-     * over the beta rows, each sum held in 128 bits and reduced once.
+     * over the beta rows (all canonical mod q), each sum held in 128
+     * bits and reduced once.
      * Requires beta < 256 so β·q² < 2^128; equal to a Barrett multiply
      * per row followed by row-order addMod, so it also serves as a
      * plaintext multiply-accumulate (d = plaintexts, kb/ka = the
@@ -134,8 +145,11 @@ struct KernelTable
      * index map applied to the d rows only: with idx = an Eval-domain
      * automorphism table the kernel reads ψ(d[j]) without materializing
      * it, bit-identical to a gather() of every row followed by the
-     * un-indexed call. The SIMD backends read d through hardware
-     * gathers; tails are scalar.
+     * un-indexed call. Where the 8 indices of an aligned output block
+     * share one aligned 8-word source block (true of every automorphism
+     * table), the avx512 backends load that block and permute it in
+     * registers, so the d rows must extend to a multiple of 8 words;
+     * other blocks, and avx2, use hardware gathers; tails are scalar.
      */
     void (*kskInnerProd)(u64 *accB, u64 *accA, const u64 *const *d,
                          const u64 *idx, const u64 *const *kb,
@@ -179,25 +193,42 @@ const KernelTable &table();
 /** The selected backend (resolves on first use). */
 Backend activeBackend();
 
+/**
+ * The table of @p b, or null when @p b is not compiled into this binary
+ * or cannot run on this host. The one backend -> table mapping.
+ */
+const KernelTable *tableFor(Backend b);
+
 /** Whether @p b can run on this host with this binary. */
 bool available(Backend b);
+
+/** Every available backend, scalar first, in order of preference. */
+std::vector<Backend> availableBackends();
 
 /** Force @p b; panics if unavailable. Intended for tests and flags. */
 void setBackend(Backend b);
 
 /**
- * Parse a backend name ("scalar" | "avx2" | "avx512" | "auto", where
- * "auto" resolves to the widest ISA this host supports). Throws a
- * typed RecoverableError on anything else — the one place unknown
+ * The backend spelled @p name ("scalar" | "avx2" | "avx512" |
+ * "avx512ifma"), or nullopt. The one name table; "auto" is not a
+ * backend here (see parseBackend()).
+ */
+std::optional<Backend> backendByName(const std::string &name);
+
+/**
+ * Parse a backend name (a backendByName() spelling or "auto", which
+ * resolves to the most preferred available backend). Throws a typed
+ * RecoverableError on anything else — the one place unknown
  * `--kernel` / CROPHE_KERNEL spellings are rejected, so downstream
  * code only ever sees the enum.
  */
 Backend parseBackend(const std::string &name);
 
 /**
- * Install @p b as the active backend, falling back to the widest
- * available one with a one-time warning when @p b cannot run here (so
- * an explicit avx512 request degrades gracefully on older hosts).
+ * Install @p b as the active backend, falling back to the most
+ * preferred available one with a one-time warning when @p b cannot run
+ * here (so an explicit avx512 request degrades gracefully on older
+ * hosts).
  */
 void requestBackend(Backend b);
 
@@ -224,6 +255,9 @@ const KernelTable &avx2Table();
 #endif
 #ifdef CROPHE_HAVE_AVX512
 const KernelTable &avx512Table();
+#endif
+#ifdef CROPHE_HAVE_AVX512IFMA
+const KernelTable &avx512ifmaTable();
 #endif
 
 }  // namespace crophe::fhe::kernels

@@ -469,8 +469,8 @@ bconvXhatAvx2(u64 *xhat, u64 xhatStride, double *vest, const u64 *in,
 
 void
 bconvOutAvx2(u64 *out, const u64 *xhat, u64 xhatStride, u64 m, u64 cnt,
-             const u64 *w, const double *vest, u64 mModT,
-             const BarrettView &q)
+             const u64 * /*qFrom*/, const u64 *w, const double *vest,
+             u64 mModT, const BarrettView &q)
 {
     const BarrettV b = broadcastBarrett(q);
     const __m256i vmmod =

@@ -18,10 +18,13 @@
 #include <immintrin.h>
 
 #include "fhe/kernels/ntt_simd256_inl.h"
+#include "fhe/kernels/simd512_inl.h"
 
 namespace crophe::fhe::kernels {
 
 namespace {
+
+using simd512::condSub;
 
 inline u64
 mulHi64(u64 a, u64 b)
@@ -102,14 +105,6 @@ mulAcc128(__m512i &hi, __m512i &lo, __m512i x, __m512i y)
     __mmask8 carry = _mm512_cmplt_epu64_mask(lo, plo);
     hi = _mm512_add_epi64(hi, phi);
     hi = _mm512_mask_add_epi64(hi, carry, hi, _mm512_set1_epi64(1));
-}
-
-/** x - (x >= bound ? bound : 0), full unsigned range via mask compare. */
-inline __m512i
-condSub(__m512i x, __m512i bound)
-{
-    __mmask8 ge = _mm512_cmpge_epu64_mask(x, bound);
-    return _mm512_mask_sub_epi64(x, ge, x, bound);
 }
 
 /** Shoup lazy product in [0,2q) per lane; any a, w < q. */
@@ -482,8 +477,8 @@ bconvXhatAvx512(u64 *xhat, u64 xhatStride, double *vest, const u64 *in,
 
 void
 bconvOutAvx512(u64 *out, const u64 *xhat, u64 xhatStride, u64 m, u64 cnt,
-               const u64 *w, const double *vest, u64 mModT,
-               const BarrettView &q)
+               const u64 * /*qFrom*/, const u64 *w, const double *vest,
+               u64 mModT, const BarrettView &q)
 {
     const BarrettV b = broadcastBarrett(q);
     const __m512i vmmod = _mm512_set1_epi64(static_cast<long long>(mModT));
@@ -514,37 +509,35 @@ bconvOutAvx512(u64 *out, const u64 *xhat, u64 xhatStride, u64 m, u64 cnt,
     }
 }
 
-template <bool Indexed>
 void
-kskInnerProdAvx512Impl(u64 *accB, u64 *accA, const u64 *const *d,
-                       const u64 *idx, const u64 *const *kb,
-                       const u64 *const *ka, u64 beta, u64 n,
-                       const BarrettView &q)
+kskInnerProdAvx512(u64 *accB, u64 *accA, const u64 *const *d,
+                   const u64 *idx, const u64 *const *kb,
+                   const u64 *const *ka, u64 beta, u64 n,
+                   const BarrettView &q)
 {
     const BarrettV b = broadcastBarrett(q);
     u64 c = 0;
     for (; c + 8 <= n; c += 8) {
-        __m512i vi = _mm512_setzero_si512();
-        if constexpr (Indexed)
-            vi = _mm512_loadu_si512(idx + c);
-        __m512i bLo = _mm512_setzero_si512();
-        __m512i bHi = _mm512_setzero_si512();
-        __m512i aLo = _mm512_setzero_si512();
-        __m512i aHi = _mm512_setzero_si512();
-        for (u64 j = 0; j < beta; ++j) {
-            __m512i x;
-            if constexpr (Indexed)
-                x = _mm512_i64gather_epi64(vi, d[j], 8);
-            else
-                x = _mm512_loadu_si512(d[j] + c);
-            mulAcc128(bHi, bLo, x, _mm512_loadu_si512(kb[j] + c));
-            mulAcc128(aHi, aLo, x, _mm512_loadu_si512(ka[j] + c));
-        }
-        _mm512_storeu_si512(accB + c, barrettReduceV(bHi, bLo, b));
-        _mm512_storeu_si512(accA + c, barrettReduceV(aHi, aLo, b));
+        auto block = [&](auto loadRow) {
+            __m512i bLo = _mm512_setzero_si512();
+            __m512i bHi = _mm512_setzero_si512();
+            __m512i aLo = _mm512_setzero_si512();
+            __m512i aHi = _mm512_setzero_si512();
+            for (u64 j = 0; j < beta; ++j) {
+                const __m512i x = loadRow(d[j]);
+                mulAcc128(bHi, bLo, x, _mm512_loadu_si512(kb[j] + c));
+                mulAcc128(aHi, aLo, x, _mm512_loadu_si512(ka[j] + c));
+            }
+            _mm512_storeu_si512(accB + c, barrettReduceV(bHi, bLo, b));
+            _mm512_storeu_si512(accA + c, barrettReduceV(aHi, aLo, b));
+        };
+        if (idx == nullptr)
+            block([c](const u64 *r) { return _mm512_loadu_si512(r + c); });
+        else
+            simd512::withIndexedRows(idx + c, block);
     }
     for (; c < n; ++c) {
-        const u64 src = Indexed ? idx[c] : c;
+        const u64 src = idx != nullptr ? idx[c] : c;
         u128 sb = 0;
         u128 sa = 0;
         for (u64 j = 0; j < beta; ++j) {
@@ -554,19 +547,6 @@ kskInnerProdAvx512Impl(u64 *accB, u64 *accA, const u64 *const *d,
         accB[c] = barrettReduceS(sb, q);
         accA[c] = barrettReduceS(sa, q);
     }
-}
-
-void
-kskInnerProdAvx512(u64 *accB, u64 *accA, const u64 *const *d,
-                   const u64 *idx, const u64 *const *kb,
-                   const u64 *const *ka, u64 beta, u64 n,
-                   const BarrettView &q)
-{
-    if (idx != nullptr)
-        kskInnerProdAvx512Impl<true>(accB, accA, d, idx, kb, ka, beta, n, q);
-    else
-        kskInnerProdAvx512Impl<false>(accB, accA, d, idx, kb, ka, beta, n,
-                                      q);
 }
 
 }  // namespace

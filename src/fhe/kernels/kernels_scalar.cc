@@ -266,8 +266,8 @@ bconvXhatScalar(u64 *xhat, u64 xhatStride, double *vest, const u64 *in,
 
 void
 bconvOutScalar(u64 *out, const u64 *xhat, u64 xhatStride, u64 m, u64 cnt,
-               const u64 *w, const double *vest, u64 mModT,
-               const BarrettView &q)
+               const u64 * /*qFrom*/, const u64 *w, const double *vest,
+               u64 mModT, const BarrettView &q)
 {
     for (u64 c = 0; c < cnt; ++c) {
         u128 acc = 0;

@@ -59,8 +59,8 @@ TEST(KernelBatchedNtt, MatchesPerPolyAcrossBackendsCountsAndTiles)
                     x = rng.nextBounded(q);
             }
 
-            for (kernels::Backend b : availableBackends()) {
-                const kernels::KernelTable &kt = tableFor(b);
+            for (kernels::Backend b : kernels::availableBackends()) {
+                const kernels::KernelTable &kt = *kernels::tableFor(b);
 
                 // Per-polynomial reference on this backend.
                 std::vector<std::vector<u64>> ref = input;
@@ -145,7 +145,7 @@ TEST(KernelBatchedNtt, NttTablesBatchedWrapperRoundTrips)
     for (auto &poly : ref)
         tables.forward(poly);
 
-    for (kernels::Backend b : availableBackends()) {
+    for (kernels::Backend b : kernels::availableBackends()) {
         kernels::setBackend(b);
         std::vector<std::vector<u64>> got = input;
         std::vector<u64 *> rows;
@@ -174,7 +174,7 @@ TEST(KernelFusedPipeline, FusedModUpMatchesUnfusedAcrossBackendsAndDigits)
         for (u32 digit = 0; digit < ctx.digitCount(level); ++digit) {
             RnsPoly want = modUpDigit(ctx, d_coeff, digit, level);
             want.toEval();
-            for (kernels::Backend b : availableBackends()) {
+            for (kernels::Backend b : kernels::availableBackends()) {
                 kernels::setBackend(b);
                 RnsPoly got =
                     fusedModUpEval(ctx, d_eval, d_coeff, digit, level);
@@ -205,7 +205,7 @@ TEST(KernelFusedPipeline, ModDownPairMatchesUnfusedAcrossBackends)
         RnsPoly want_b = unfused(b_eval);
         RnsPoly want_a = unfused(a_eval);
 
-        for (kernels::Backend b : availableBackends()) {
+        for (kernels::Backend b : kernels::availableBackends()) {
             kernels::setBackend(b);
             auto [got_b, got_a] = modDownEvalPair(ctx, b_eval, a_eval, level);
             expectPolysEqual(got_b, want_b, kernels::backendName(b));
@@ -232,7 +232,7 @@ TEST(KernelFusedPipeline, KeySwitchMatchesUnfusedAcrossBackendsAndThreads)
 
     for (u32 threads : {1u, 2u, 8u}) {
         ThreadPool::setGlobalThreads(threads);
-        for (kernels::Backend b : availableBackends()) {
+        for (kernels::Backend b : kernels::availableBackends()) {
             kernels::setBackend(b);
             auto [got_b, got_a] = eval.keySwitch(d, level, rk);
             expectPolysEqual(got_b, want_b, kernels::backendName(b));
@@ -356,8 +356,12 @@ TEST(KernelBackendEnum, ParseAcceptsKnownNamesAndThrowsOnUnknown)
     EXPECT_EQ(kernels::parseBackend("scalar"), kernels::Backend::Scalar);
     EXPECT_EQ(kernels::parseBackend("avx2"), kernels::Backend::Avx2);
     EXPECT_EQ(kernels::parseBackend("avx512"), kernels::Backend::Avx512);
-    // "auto" resolves to something runnable on this host.
+    EXPECT_EQ(kernels::parseBackend("avx512ifma"),
+              kernels::Backend::Avx512Ifma);
+    // "auto" resolves to the most preferred backend runnable on this host.
     EXPECT_TRUE(kernels::available(kernels::parseBackend("auto")));
+    EXPECT_EQ(kernels::parseBackend("auto"),
+              kernels::availableBackends().back());
     EXPECT_THROW(kernels::parseBackend("sse9"), RecoverableError);
     EXPECT_THROW(kernels::parseBackend(""), RecoverableError);
     EXPECT_THROW(kernels::parseBackend("AVX2"), RecoverableError);
@@ -367,7 +371,7 @@ TEST(KernelBackendEnum, NamesRoundTripThroughParse)
 {
     for (kernels::Backend b :
          {kernels::Backend::Scalar, kernels::Backend::Avx2,
-          kernels::Backend::Avx512})
+          kernels::Backend::Avx512, kernels::Backend::Avx512Ifma})
         EXPECT_EQ(kernels::parseBackend(kernels::backendName(b)), b);
 }
 

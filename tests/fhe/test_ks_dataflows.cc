@@ -63,7 +63,7 @@ TEST(KernelKsDataflow, KeySwitchMatchesUnfusedAcrossLevelsBackendsThreads)
 
             for (u32 threads : {1u, 2u, 8u}) {
                 ThreadPool::setGlobalThreads(threads);
-                for (kernels::Backend b : availableBackends()) {
+                for (kernels::Backend b : kernels::availableBackends()) {
                     kernels::setBackend(b);
                     auto [got_b, got_a] = eval.keySwitch(d, level, rk);
                     expectPolysEqual(got_b, want_b, "keySwitch b");
@@ -153,7 +153,7 @@ TEST(KernelHoisting, HoistedRotateMatchesOracleAndDecryptsLikeRotate)
         for (i64 r : {i64(1), i64(3), i64(7)}) {
             KswKey rk = keygen.makeRotationKey(r);
             Ciphertext want = hoistedRotateOracle(ctx, ct, r, rk);
-            for (kernels::Backend b : availableBackends()) {
+            for (kernels::Backend b : kernels::availableBackends()) {
                 kernels::setBackend(b);
                 Ciphertext got = eval.hoistedRotate(ct, digits, r, rk);
                 ASSERT_EQ(got.level, want.level);
@@ -411,7 +411,7 @@ TEST(KernelTripleHoistedBsgs, MatVecMatchesSameMathOracleBitForBit)
     Ciphertext want = tripleHoistedOracle(s, diags, ct, n1, n2, keys);
     for (u32 threads : {1u, 2u, 8u}) {
         ThreadPool::setGlobalThreads(threads);
-        for (kernels::Backend b : availableBackends()) {
+        for (kernels::Backend b : kernels::availableBackends()) {
             kernels::setBackend(b);
             Ciphertext got = ptMatVecMult(s.eval, ct, diags, n1, n2,
                                           RotStrategy::TripleHoisted, 0,
@@ -586,7 +586,7 @@ TEST(KernelHybridBsgs, MatVecMatchesSameMathOracleAcrossBackendsAndThreads)
         Ciphertext want = hybridOracle(s, diags, ct, n1, n2, r_hyb, keys);
         for (u32 threads : {1u, 2u, 8u}) {
             ThreadPool::setGlobalThreads(threads);
-            for (kernels::Backend b : availableBackends()) {
+            for (kernels::Backend b : kernels::availableBackends()) {
                 kernels::setBackend(b);
                 Ciphertext got = ptMatVecMult(s.eval, ct, diags, n1, n2,
                                               RotStrategy::Hybrid, r_hyb,
@@ -754,7 +754,7 @@ TEST(KernelBsgsDataflow, MatVecAndBabyStepsMatchMaterializedOracle)
                                                    c.strategy, c.rHyb, keys);
         for (u32 threads : {1u, 2u, 8u}) {
             ThreadPool::setGlobalThreads(threads);
-            for (kernels::Backend b : availableBackends()) {
+            for (kernels::Backend b : kernels::availableBackends()) {
                 kernels::setBackend(b);
                 SCOPED_TRACE(testing::Message()
                              << "strategy " << st << " r_hyb " << c.rHyb
@@ -801,7 +801,7 @@ TEST(KernelEncoding, EncodeDecodeHashIsPinned)
     std::vector<double> v(ctx.n() / 2);
     for (auto &x : v)
         x = rng.nextDouble() * 2 - 1;
-    for (kernels::Backend b : availableBackends()) {
+    for (kernels::Backend b : kernels::availableBackends()) {
         kernels::setBackend(b);
         Plaintext pt = enc.encodeReal(v, ctx.maxLevel());
         u64 h = hashPoly(pt.poly);

@@ -45,39 +45,6 @@ smallContext()
     return ctx;
 }
 
-/** Every backend compiled in AND runnable on this host. */
-inline std::vector<kernels::Backend>
-availableBackends()
-{
-    std::vector<kernels::Backend> out = {kernels::Backend::Scalar};
-    if (kernels::available(kernels::Backend::Avx2))
-        out.push_back(kernels::Backend::Avx2);
-    if (kernels::available(kernels::Backend::Avx512))
-        out.push_back(kernels::Backend::Avx512);
-    return out;
-}
-
-/** The kernel table of @p b (scalar if @p b is not compiled in). */
-inline const kernels::KernelTable &
-tableFor(kernels::Backend b)
-{
-    switch (b) {
-    case kernels::Backend::Scalar:
-        return kernels::scalarTable();
-#ifdef CROPHE_HAVE_AVX2
-    case kernels::Backend::Avx2:
-        return kernels::avx2Table();
-#endif
-#ifdef CROPHE_HAVE_AVX512
-    case kernels::Backend::Avx512:
-        return kernels::avx512Table();
-#endif
-    default:
-        break;
-    }
-    return kernels::scalarTable();
-}
-
 /** Restores the process-wide backend selection on scope exit. */
 class BackendScope
 {
